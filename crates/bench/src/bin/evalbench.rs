@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use tsmo_core::{ParallelVariant, TsmoConfig};
+use tsmo_core::{ParallelVariant, RunOptions, TsmoConfig};
 use tsmo_obs::MemoryRecorder;
 use vrptw::generator::{GeneratorConfig, InstanceClass};
 use vrptw::Solution;
@@ -58,7 +58,11 @@ fn run_search(inst: &Arc<vrptw::Instance>, cfg: &TsmoConfig, profiled: bool) -> 
         tsmo_obs::noop()
     };
     let start = Instant::now();
-    let outcome = ParallelVariant::Sequential.run_with(inst, cfg, recorder);
+    let opts = RunOptions {
+        recorder,
+        ..RunOptions::default()
+    };
+    let outcome = ParallelVariant::Sequential.run_with(inst, cfg, &opts);
     Measure {
         evaluations: outcome.evaluations,
         seconds: start.elapsed().as_secs_f64(),

@@ -17,7 +17,7 @@
 use pareto::coverage;
 use runstats::{speedup_percent, welch_t_test, Summary};
 use std::sync::Arc;
-use tsmo_core::{ParallelVariant, TsmoConfig, TsmoOutcome};
+use tsmo_core::{Clock, ParallelVariant, RunOptions, TsmoConfig, TsmoOutcome};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
 use vrptw::Instance;
 
@@ -220,12 +220,16 @@ pub fn run_table_with(
                         ^ (pi as u64) << 40,
                     ..TsmoConfig::default()
                 };
-                let out = match opts.timing {
-                    TimingMode::Real => variant.run_with(inst, &cfg, Arc::clone(&recorder)),
-                    TimingMode::Virtual => {
-                        variant.run_simulated_with(inst, &cfg, Arc::clone(&recorder))
-                    }
+                let clock = match opts.timing {
+                    TimingMode::Real => Clock::Wall,
+                    TimingMode::Virtual => Clock::virtual_uniform(),
                 };
+                let run_opts = RunOptions {
+                    recorder: Arc::clone(&recorder),
+                    clock,
+                    ..RunOptions::default()
+                };
+                let out = variant.run_with(inst, &cfg, &run_opts);
                 let (d, v, t) = measure(&out);
                 per_run[run].distance += d;
                 per_run[run].vehicles += v;

@@ -62,6 +62,7 @@ mod core_search;
 mod fault_obs;
 mod hybrid;
 mod neighborhood;
+mod options;
 mod outcome;
 mod scalarized;
 mod searcher;
@@ -79,6 +80,7 @@ pub use config::{SelectionRule, TsmoConfig};
 pub use core_search::SearchCore;
 pub use hybrid::HybridTsmo;
 pub use neighborhood::{generate_chunk, Neighbor};
+pub use options::{Clock, RunOptions};
 pub use outcome::{FrontEntry, TsmoOutcome};
 pub use scalarized::{weighted_front, WeightedOutcome, WeightedSumTs};
 pub use searcher::{searcher_cfg, CollabSearcher, SearcherResult};
@@ -107,18 +109,43 @@ pub enum ParallelVariant {
 impl ParallelVariant {
     /// Runs the variant on `inst` with `cfg`.
     pub fn run(self, inst: &Arc<Instance>, cfg: &TsmoConfig) -> TsmoOutcome {
-        self.run_with(inst, cfg, tsmo_obs::noop())
+        self.run_with(inst, cfg, &RunOptions::default())
     }
 
-    /// Runs the variant with a telemetry sink attached (see `tsmo-obs`).
-    /// The no-op recorder makes this identical to [`run`](Self::run).
+    /// Runs the variant with the given [`RunOptions`]: telemetry sink,
+    /// cancel token, fault hook and clock.
     pub fn run_with(
         self,
         inst: &Arc<Instance>,
         cfg: &TsmoConfig,
-        recorder: Arc<dyn tsmo_obs::Recorder>,
+        opts: &RunOptions,
     ) -> TsmoOutcome {
-        self.run_with_faults(inst, cfg, recorder, tsmo_faults::none())
+        let recorder = Arc::clone(&opts.recorder);
+        let faults = Arc::clone(&opts.faults);
+        match (&opts.clock, self) {
+            (Clock::Wall, _) | (Clock::Virtual { .. }, ParallelVariant::Sequential) => {
+                self.run_with_cancel(inst, cfg, recorder, faults, opts.cancel.clone())
+            }
+            (Clock::Virtual { speeds }, ParallelVariant::Synchronous(p)) => {
+                let mut sim = SimSyncTsmo::new(cfg.clone(), p);
+                if let Some(s) = speeds {
+                    sim = sim.with_speeds(s.clone());
+                }
+                sim.run_with(inst, recorder)
+            }
+            (Clock::Virtual { speeds }, ParallelVariant::Asynchronous(p)) => {
+                let mut sim = SimAsyncTsmo::new(cfg.clone(), p).with_fault_hook(faults);
+                if let Some(s) = speeds {
+                    sim = sim.with_speeds(s.clone());
+                }
+                sim.run_with(inst, recorder)
+            }
+            (Clock::Virtual { .. }, ParallelVariant::Collaborative(p)) => {
+                SimCollaborativeTsmo::new(cfg.clone(), p)
+                    .with_fault_hook(faults)
+                    .run_with(inst, recorder)
+            }
+        }
     }
 
     /// [`run_with`](Self::run_with) plus a fault-injection hook (see the

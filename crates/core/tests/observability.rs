@@ -4,7 +4,8 @@
 
 use std::sync::Arc;
 use tsmo_core::{
-    ParallelVariant, SequentialTsmo, SimAsyncTsmo, SimCollaborativeTsmo, TsmoConfig, TsmoOutcome,
+    ParallelVariant, RunOptions, SequentialTsmo, SimAsyncTsmo, SimCollaborativeTsmo, TsmoConfig,
+    TsmoOutcome,
 };
 use tsmo_obs::metrics::names;
 use tsmo_obs::{parse_events_jsonl, MemoryRecorder, Recorder, SearchEvent};
@@ -244,7 +245,11 @@ fn threaded_variants_accept_a_recorder_and_count_evaluations() {
         ParallelVariant::Collaborative(3),
     ] {
         let recorder = MemoryRecorder::shared();
-        let out = variant.run_with(&inst, &base, Arc::clone(&recorder) as Arc<dyn Recorder>);
+        let opts = RunOptions {
+            recorder: Arc::clone(&recorder) as Arc<dyn Recorder>,
+            ..RunOptions::default()
+        };
+        let out = variant.run_with(&inst, &base, &opts);
         let metrics = recorder.metrics();
         assert_eq!(
             metrics.counter(names::EVALUATIONS),
