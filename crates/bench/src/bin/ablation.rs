@@ -29,8 +29,7 @@ use pareto::coverage;
 use runstats::Summary;
 use std::sync::Arc;
 use tsmo_core::{
-    weighted_front, AdaptiveMemoryTs, AsyncTsmo, CollaborativeTsmo, HybridTsmo, SequentialTsmo,
-    SimAsyncTsmo, SimSyncTsmo, TsmoConfig,
+    weighted_front, AdaptiveMemoryTs, Clock, HybridTsmo, ParallelVariant, RunOptions, TsmoConfig,
 };
 use tsmo_faults::{FaultConfig, FaultPlan};
 use tsmo_obs::{metrics::names, MemoryRecorder};
@@ -119,7 +118,8 @@ fn base_cfg(opts: &Opts) -> TsmoConfig {
 fn seq_best_distances(inst: &Arc<Instance>, cfg: &TsmoConfig, opts: &Opts) -> Vec<f64> {
     (0..opts.runs)
         .map(|r| {
-            let out = SequentialTsmo::new(cfg.clone().with_seed(opts.seed + r as u64)).run(inst);
+            let out =
+                ParallelVariant::Sequential.run(inst, &cfg.clone().with_seed(opts.seed + r as u64));
             out.best_distance().unwrap_or(f64::NAN)
         })
         .filter(|d| d.is_finite())
@@ -206,7 +206,8 @@ fn decision(opts: &Opts) {
         let mut dists = Vec::new();
         let mut times = Vec::new();
         for r in 0..opts.runs {
-            let out = AsyncTsmo::new(cfg.clone().with_seed(opts.seed + r as u64), 4).run(&inst);
+            let out = ParallelVariant::Asynchronous(4)
+                .run(&inst, &cfg.clone().with_seed(opts.seed + r as u64));
             if let Some(d) = out.best_distance() {
                 dists.push(d);
             }
@@ -232,16 +233,16 @@ fn comm(opts: &Opts) {
     println!("Ablation: collaborative searcher count (per-searcher budgets)");
     let inst = instance(opts);
     let reference = {
-        let out = SequentialTsmo::new(base_cfg(opts).with_seed(opts.seed ^ 0xF00)).run(&inst);
+        let out =
+            ParallelVariant::Sequential.run(&inst, &base_cfg(opts).with_seed(opts.seed ^ 0xF00));
         out.feasible_vectors()
     };
     for searchers in [1usize, 2, 4, 8] {
         let mut covs = Vec::new();
         let mut times = Vec::new();
         for r in 0..opts.runs {
-            let out =
-                CollaborativeTsmo::new(base_cfg(opts).with_seed(opts.seed + r as u64), searchers)
-                    .run(&inst);
+            let out = ParallelVariant::Collaborative(searchers)
+                .run(&inst, &base_cfg(opts).with_seed(opts.seed + r as u64));
             covs.push(coverage(&out.feasible_vectors(), &reference) * 100.0);
             times.push(out.runtime_seconds);
         }
@@ -263,18 +264,22 @@ fn hybrid(opts: &Opts) {
     for (label, runner) in [
         (
             "async (4 procs)",
-            Box::new(|seed: u64| AsyncTsmo::new(base_cfg(opts).with_seed(seed), 4).run(&inst))
-                as Box<dyn Fn(u64) -> tsmo_core::TsmoOutcome>,
+            Box::new(|seed: u64| {
+                ParallelVariant::Asynchronous(4).run(&inst, &base_cfg(opts).with_seed(seed))
+            }) as Box<dyn Fn(u64) -> tsmo_core::TsmoOutcome>,
         ),
         (
             "collaborative (4)",
             Box::new(|seed: u64| {
-                CollaborativeTsmo::new(base_cfg(opts).with_seed(seed), 4).run(&inst)
+                ParallelVariant::Collaborative(4).run(&inst, &base_cfg(opts).with_seed(seed))
             }),
         ),
         (
             "hybrid (2 x 2)",
-            Box::new(|seed: u64| HybridTsmo::new(base_cfg(opts).with_seed(seed), 2, 2).run(&inst)),
+            Box::new(|seed: u64| {
+                HybridTsmo::new(base_cfg(opts).with_seed(seed), 2, 2)
+                    .run(&inst, &RunOptions::default())
+            }),
         ),
     ] {
         let mut fronts = Vec::new();
@@ -330,7 +335,8 @@ fn weights(opts: &Opts) {
     // infeasible-but-interesting points still count).
     let mut ts_fronts = Vec::new();
     for r in 0..opts.runs {
-        let out = SequentialTsmo::new(base_cfg(opts).with_seed(opts.seed + r as u64)).run(&inst);
+        let out =
+            ParallelVariant::Sequential.run(&inst, &base_cfg(opts).with_seed(opts.seed + r as u64));
         ts_fronts.push(
             out.archive
                 .iter()
@@ -383,12 +389,14 @@ fn hetero(opts: &Opts) {
         let mut async_t = Vec::new();
         for r in 0..opts.runs {
             let cfg = base_cfg(opts).with_seed(opts.seed + r as u64);
-            let s = SimSyncTsmo::new(cfg.clone(), p)
-                .with_speeds(speeds.clone())
-                .run(&inst);
-            let a = SimAsyncTsmo::new(cfg, p)
-                .with_speeds(speeds.clone())
-                .run(&inst);
+            let virtual_clock = RunOptions {
+                clock: Clock::Virtual {
+                    speeds: Some(speeds.clone()),
+                },
+                ..RunOptions::default()
+            };
+            let s = ParallelVariant::Synchronous(p).run_with(&inst, &cfg, &virtual_clock);
+            let a = ParallelVariant::Asynchronous(p).run_with(&inst, &cfg, &virtual_clock);
             sync_t.push(s.runtime_seconds);
             async_t.push(a.runtime_seconds);
         }
@@ -413,8 +421,9 @@ fn levels(opts: &Opts) {
     for (label, runner) in [
         (
             "functional (async)",
-            Box::new(|seed: u64| AsyncTsmo::new(base_cfg(opts).with_seed(seed), p).run(&inst))
-                as Box<dyn Fn(u64) -> tsmo_core::TsmoOutcome>,
+            Box::new(|seed: u64| {
+                ParallelVariant::Asynchronous(p).run(&inst, &base_cfg(opts).with_seed(seed))
+            }) as Box<dyn Fn(u64) -> tsmo_core::TsmoOutcome>,
         ),
         (
             "domain (adaptive)",
@@ -431,7 +440,7 @@ fn levels(opts: &Opts) {
                 // collaborative variant budgets per searcher.
                 let mut cfg = base_cfg(opts).with_seed(seed);
                 cfg.max_evaluations = (opts.evals / p as u64).max(1);
-                CollaborativeTsmo::new(cfg, p).run(&inst)
+                ParallelVariant::Collaborative(p).run(&inst, &cfg)
             }),
         ),
     ] {
@@ -473,7 +482,8 @@ fn polish(opts: &Opts) {
     let mut after = Vec::new();
     let mut moves = Vec::new();
     for r in 0..opts.runs {
-        let out = SequentialTsmo::new(base_cfg(opts).with_seed(opts.seed + r as u64)).run(&inst);
+        let out =
+            ParallelVariant::Sequential.run(&inst, &base_cfg(opts).with_seed(opts.seed + r as u64));
         for entry in &out.archive {
             let b = entry.objectives;
             let polished = descend(&inst, entry.solution.clone(), &DescentConfig::default());
@@ -503,9 +513,16 @@ fn faults(opts: &Opts) {
             cfg.sim_eval_cost = Some(1e-4);
             let rec = MemoryRecorder::shared();
             let plan = FaultPlan::shared(FaultConfig::uniform(opts.fault_seed + r as u64, rate));
-            let out = SimAsyncTsmo::new(cfg, 4)
-                .with_fault_hook(plan.clone())
-                .run_with(&inst, rec.clone());
+            let out = ParallelVariant::Asynchronous(4).run_with(
+                &inst,
+                &cfg,
+                &RunOptions {
+                    recorder: rec.clone(),
+                    faults: plan.clone(),
+                    clock: Clock::virtual_uniform(),
+                    ..RunOptions::default()
+                },
+            );
             if let Some(d) = out.best_distance() {
                 dists.push(d);
             }
@@ -636,7 +653,7 @@ fn moea_cmp(opts: &Opts) {
     ];
     for r in 0..opts.runs {
         let seed = opts.seed + r as u64;
-        let ts = SequentialTsmo::new(base_cfg(opts).with_seed(seed)).run(&inst);
+        let ts = ParallelVariant::Sequential.run(&inst, &base_cfg(opts).with_seed(seed));
         fronts[0].1.push(ts.feasible_vectors());
         let ea = Nsga2::new(Nsga2Config {
             max_evaluations: opts.evals,

@@ -19,8 +19,7 @@
 //! `--metrics-out` writes the run's metrics in Prometheus text exposition
 //! (and prints a human-readable summary on stderr); `--events-out` writes
 //! the structured JSONL event stream (see the `tsmo-obs` crate). All
-//! apply to the TSMO variants; the `hybrid` and `nsga2` baselines are not
-//! instrumented.
+//! apply to the TSMO variants; the `nsga2` baseline is not instrumented.
 //!
 //! `--profile-out` writes the folded span profile — wall seconds and
 //! call counts per search phase — as one JSON document.
@@ -36,19 +35,20 @@
 //! the solver service threads into every job: the run ends at an
 //! iteration boundary and the best-so-far front is printed as a valid,
 //! truncated result (the cause lands on stderr). TSMO variants only —
-//! the `hybrid` and `nsga2` baselines reject the flags.
+//! the `nsga2` baseline rejects the flags.
 //!
 //! `--fault-rate R` (with an optional `--fault-seed S`, default 0) arms
 //! deterministic chaos: worker tasks panic or stall and exchange messages
 //! drop or lag at the given per-site rate (see the `tsmo-faults` crate),
-//! and the self-healing runtime must absorb it. Applies to the `async`
-//! and `coll` variants; the others have no fault surface and reject it.
+//! and the self-healing runtime must absorb it. Applies to the `async`,
+//! `coll` and `hybrid` variants; the others have no fault surface and
+//! reject it.
 //! Recovery totals (`tsmo_tasks_resent_total` etc.) land in
 //! `--metrics-out`.
 
 use moea::{Nsga2, Nsga2Config};
 use std::sync::Arc;
-use tsmo_core::{CancelToken, HybridTsmo, ParallelVariant, TsmoConfig};
+use tsmo_core::{CancelToken, Clock, HybridTsmo, ParallelVariant, RunOptions, TsmoConfig};
 use tsmo_faults::{FaultConfig, FaultHook, FaultPlan};
 use tsmo_obs::{MemoryRecorder, Recorder};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
@@ -72,9 +72,7 @@ fn main() {
     let deadline_ms: Option<u64> = get("--deadline-ms").map(|s| s.parse().expect("--deadline-ms"));
     let cancel_after_iters: Option<u64> =
         get("--cancel-after-iters").map(|s| s.parse().expect("--cancel-after-iters"));
-    if (deadline_ms.is_some() || cancel_after_iters.is_some())
-        && matches!(variant.as_str(), "hybrid" | "nsga2")
-    {
+    if (deadline_ms.is_some() || cancel_after_iters.is_some()) && variant == "nsga2" {
         panic!("--deadline-ms/--cancel-after-iters apply to the TSMO variants only");
     }
     let cancel = CancelToken::with_limits(
@@ -89,8 +87,8 @@ fn main() {
         (fault_rate > 0.0).then(|| FaultPlan::shared(FaultConfig::uniform(fault_seed, fault_rate)));
     if fault_plan.is_some() {
         assert!(
-            matches!(variant.as_str(), "async" | "coll"),
-            "--fault-rate applies to the async and coll variants only"
+            matches!(variant.as_str(), "async" | "coll" | "hybrid"),
+            "--fault-rate applies to the async, coll and hybrid variants only"
         );
         // Injected worker panics are expected events, not crashes: keep the
         // default hook from printing a backtrace per fault, but let every
@@ -152,7 +150,7 @@ fn main() {
     let recorder: Arc<dyn Recorder> = memory
         .clone()
         .map_or_else(tsmo_obs::noop, |m| m as Arc<dyn Recorder>);
-    if memory.is_some() && matches!(variant.as_str(), "hybrid" | "nsga2") {
+    if memory.is_some() && variant == "nsga2" {
         eprintln!("note: the {variant} baseline is not instrumented; telemetry will be empty");
     }
 
@@ -162,36 +160,18 @@ fn main() {
         timeline_every,
         ..TsmoConfig::default()
     };
+    let opts = RunOptions {
+        recorder,
+        cancel: cancel.clone(),
+        faults,
+        clock: Clock::Wall,
+    };
     let front: Vec<(Solution, Objectives)> = match variant.as_str() {
-        "seq" => collect(ParallelVariant::Sequential.run_with_cancel(
-            &inst,
-            &cfg,
-            recorder,
-            faults,
-            cancel.clone(),
-        )),
-        "sync" => collect(ParallelVariant::Synchronous(procs).run_with_cancel(
-            &inst,
-            &cfg,
-            recorder,
-            faults,
-            cancel.clone(),
-        )),
-        "async" => collect(ParallelVariant::Asynchronous(procs).run_with_cancel(
-            &inst,
-            &cfg,
-            recorder,
-            faults,
-            cancel.clone(),
-        )),
-        "coll" => collect(ParallelVariant::Collaborative(searchers).run_with_cancel(
-            &inst,
-            &cfg,
-            recorder,
-            faults,
-            cancel.clone(),
-        )),
-        "hybrid" => collect(HybridTsmo::new(cfg, searchers, procs).run(&inst)),
+        "seq" => collect(ParallelVariant::Sequential.run_with(&inst, &cfg, &opts)),
+        "sync" => collect(ParallelVariant::Synchronous(procs).run_with(&inst, &cfg, &opts)),
+        "async" => collect(ParallelVariant::Asynchronous(procs).run_with(&inst, &cfg, &opts)),
+        "coll" => collect(ParallelVariant::Collaborative(searchers).run_with(&inst, &cfg, &opts)),
+        "hybrid" => collect(HybridTsmo::new(cfg, searchers, procs).run(&inst, &opts)),
         "nsga2" => {
             Nsga2::new(Nsga2Config {
                 max_evaluations: evals,

@@ -14,8 +14,9 @@
 //! global searcher ids `k*s .. (k+1)*s`. It derives the *full* stream set
 //! `streams(seed, n*s)` and, for each local id, draws the communication
 //! list first and the parameter perturbation second from that id's own
-//! stream — the same order `CollaborativeTsmo` and the virtual mesh use,
-//! so all three builds agree on every list and every parameter.
+//! stream — the same order the threaded collaborative variant and the
+//! virtual mesh use, so all three builds agree on every list and every
+//! parameter.
 
 use crate::membership::{Member, Membership};
 use crate::proto::{ExchangeEntry, MeshJob, NodeMsg};

@@ -84,14 +84,16 @@ pub struct TsmoConfig {
     /// `c3` ("AreWeWaitingTooLong") of Algorithm 2.
     pub async_max_wait_ms: u64,
     /// Per-message latency, in seconds, of the *simulated* cluster used by
-    /// the `Sim*` variants (see `deme::virtual_time`): the cost of one
+    /// virtual-clock runs (see [`Clock::Virtual`](crate::Clock::Virtual)
+    /// and `deme::virtual_time`): the cost of one
     /// master–worker or searcher–searcher message on the modeled machine.
     pub sim_comm_latency: f64,
-    /// Virtual cost per evaluation, in seconds, for the `Sim*` variants.
+    /// Virtual cost per evaluation, in seconds, for virtual-clock runs.
     /// `None` (the default) measures each work item's real serial cost, so
     /// virtual makespans track the host; fixing a cost makes the simulated
-    /// schedule — and therefore the `SimAsyncTsmo`/`SimCollaborativeTsmo`
-    /// trajectories and telemetry event streams — fully deterministic.
+    /// schedule — and therefore the asynchronous and collaborative
+    /// virtual-clock trajectories and telemetry event streams — fully
+    /// deterministic.
     pub sim_eval_cost: Option<f64>,
     /// Warm-start pool: solutions a run starts from instead of a fresh I1
     /// construction. Every entry must be a *complete, valid* solution of
@@ -161,6 +163,13 @@ impl TsmoConfig {
             nondom_capacity: disturb(rng, self.nondom_capacity, 2),
             stagnation_limit: disturb(rng, self.stagnation_limit, 5),
             ..self.clone()
+        }
+    }
+
+    /// Move-sampling parameters derived from this configuration.
+    pub(crate) fn sample_params(&self) -> vrptw_operators::SampleParams {
+        vrptw_operators::SampleParams {
+            feasibility: self.feasibility_criterion,
         }
     }
 

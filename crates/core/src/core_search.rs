@@ -3,7 +3,7 @@
 
 use crate::config::TsmoConfig;
 use crate::neighborhood::Neighbor;
-use crate::outcome::FrontEntry;
+use crate::outcome::{FrontEntry, TsmoOutcome};
 use crate::tabu::TabuList;
 use crate::trace::{Trace, TracePoint};
 use detrand::{RandomSource, Rng, Xoshiro256StarStar};
@@ -187,6 +187,11 @@ impl SearchCore {
         &self.inst
     }
 
+    /// The telemetry sink this searcher reports to.
+    pub(crate) fn recorder(&self) -> &Arc<dyn Recorder> {
+        &self.recorder
+    }
+
     /// The configuration in effect.
     pub fn config(&self) -> &TsmoConfig {
         &self.cfg
@@ -220,9 +225,7 @@ impl SearchCore {
 
     /// Sampling parameters derived from the configuration.
     pub fn sample_params(&self) -> SampleParams {
-        SampleParams {
-            feasibility: self.cfg.feasibility_criterion,
-        }
+        self.cfg.sample_params()
     }
 
     /// Draws the seeds for this iteration's neighborhood chunks.
@@ -545,6 +548,18 @@ impl SearchCore {
             self.stagnation_streak_max as f64,
         );
         (self.archive.into_items(), self.trace, self.iteration)
+    }
+
+    /// [`finish`](Self::finish) packaged as a single-searcher run outcome.
+    pub(crate) fn into_outcome(self, evaluations: u64, runtime_seconds: f64) -> TsmoOutcome {
+        let (archive, trace, iterations) = self.finish();
+        TsmoOutcome {
+            archive,
+            evaluations,
+            iterations,
+            runtime_seconds,
+            trace,
+        }
     }
 }
 

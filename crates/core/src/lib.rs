@@ -16,66 +16,84 @@
 //!    improved for `stagnation_limit` iterations (or no neighbor was
 //!    selectable), the search restarts from a remembered solution.
 //!
-//! The parallel variants:
+//! The parallel variants ([`ParallelVariant`]):
 //!
-//! * [`SyncTsmo`] (§III.C) — master–worker functional decomposition of
+//! * `Synchronous` (§III.C) — master–worker functional decomposition of
 //!   steps 1–2 with a barrier; **bit-identical trajectories** to the
 //!   sequential algorithm for the same seed (tested), which is the paper's
 //!   "the behavior remains unchanged".
-//! * [`AsyncTsmo`] (§III.D) — same decomposition without the barrier; the
+//! * `Asynchronous` (§III.D) — same decomposition without the barrier; the
 //!   master continues with a partial neighborhood according to the decision
 //!   function of Algorithm 2 and folds late worker results into later
 //!   iterations.
-//! * [`CollaborativeTsmo`] (§III.E) — independent searchers with perturbed
+//! * `Collaborative` (§III.E) — independent searchers with perturbed
 //!   parameters that exchange archive-improving solutions over a rotating
 //!   communication list after an initial stagnation phase.
 //!
-//! The parallel runtimes are self-healing: the asynchronous master runs
-//! its workers under a supervisor (`deme::Supervisor`) that resends
-//! panicked tasks, quarantines and respawns repeat offenders, and degrades
-//! to master-local evaluation when no worker is left; the collaborative
+//! # Two drivers, three executors
+//!
+//! As in DEME, the algorithm and the infrastructure are separate. There
+//! are two search loops: the **barrier driver** (steps 1–2 return in full
+//! before selection; `Sequential` and `Synchronous`) and the
+//! **Algorithm-2 driver** (the asynchronous decision function;
+//! `Asynchronous` and each [`HybridTsmo`] searcher). Each is generic over
+//! where a chunk of neighbors runs: inline on the master, on the `deme`
+//! thread pool, or on a `deme::VirtualCluster` with simulated processor
+//! clocks ([`Clock::Virtual`]). The collaborative searchers run
+//! [`CollabSearcher`] on threads, or an event loop on the virtual cluster.
+//!
+//! The thread runtimes are self-healing: the asynchronous master runs its
+//! workers under a supervisor (`deme::Supervisor`) that resends panicked
+//! tasks, quarantines and respawns repeat offenders, and degrades to
+//! master-local evaluation when no worker is left; the collaborative
 //! searchers track peer liveness and route around dead peers. Both can be
 //! exercised under deterministic fault injection via
-//! [`ParallelVariant::run_with_faults`] and the `tsmo-faults` crate.
+//! [`RunOptions::faults`] and the `tsmo-faults` crate.
 
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tsmo_core::{SequentialTsmo, TsmoConfig};
+//! use tsmo_core::{Clock, ParallelVariant, RunOptions, TsmoConfig};
 //! use vrptw::generator::{GeneratorConfig, InstanceClass};
 //!
 //! let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 40, 7).build());
 //! let cfg = TsmoConfig { max_evaluations: 2_000, neighborhood_size: 50,
 //!                        ..TsmoConfig::default() };
-//! let outcome = SequentialTsmo::new(cfg).run(&inst);
+//! let outcome = ParallelVariant::Sequential.run(&inst, &cfg);
 //! assert_eq!(outcome.evaluations, 2_000);
 //! assert!(!outcome.archive.is_empty());
+//!
+//! // The synchronous variant on a simulated 4-processor machine: the same
+//! // trajectory as the sequential algorithm with 4 chunks, and a virtual
+//! // makespan as its runtime.
+//! let opts = RunOptions { clock: Clock::virtual_uniform(), ..RunOptions::default() };
+//! let sync = ParallelVariant::Synchronous(4).run_with(&inst, &cfg, &opts);
+//! let seq = ParallelVariant::Sequential.run(&inst, &TsmoConfig { chunks: 4, ..cfg });
+//! assert_eq!(sync.iterations, seq.iterations);
 //! ```
 
 mod adaptive;
 mod asynchronous;
+mod barrier;
 mod cancel;
 mod collaborative;
 mod config;
 mod core_search;
-mod fault_obs;
+mod exec;
 mod hybrid;
 mod neighborhood;
 mod options;
 mod outcome;
 mod scalarized;
 mod searcher;
-mod sequential;
 mod simulated;
-mod sync;
 mod tabu;
+mod telemetry;
 mod trace;
 
 pub use adaptive::{insert_cheapest, scalarize, AdaptiveMemory, AdaptiveMemoryTs};
-pub use asynchronous::AsyncTsmo;
 pub use cancel::{CancelToken, StopCause};
-pub use collaborative::CollaborativeTsmo;
 pub use config::{SelectionRule, TsmoConfig};
 pub use core_search::SearchCore;
 pub use hybrid::HybridTsmo;
@@ -84,12 +102,12 @@ pub use options::{Clock, RunOptions};
 pub use outcome::{FrontEntry, TsmoOutcome};
 pub use scalarized::{weighted_front, WeightedOutcome, WeightedSumTs};
 pub use searcher::{searcher_cfg, CollabSearcher, SearcherResult};
-pub use sequential::SequentialTsmo;
-pub use simulated::{SimAsyncTsmo, SimCollaborativeTsmo, SimSyncTsmo};
-pub use sync::SyncTsmo;
 pub use tabu::TabuList;
 pub use trace::{Trace, TracePoint};
 
+use detrand::Xoshiro256StarStar;
+use exec::{Threads, Virtual};
+use simulated::SimClock;
 use std::sync::Arc;
 use vrptw::Instance;
 
@@ -107,151 +125,87 @@ pub enum ParallelVariant {
 }
 
 impl ParallelVariant {
-    /// Runs the variant on `inst` with `cfg`.
+    /// Runs the variant on `inst` with `cfg`: wall clock, no telemetry,
+    /// no faults, no cancellation.
     pub fn run(self, inst: &Arc<Instance>, cfg: &TsmoConfig) -> TsmoOutcome {
         self.run_with(inst, cfg, &RunOptions::default())
     }
 
-    /// Runs the variant with the given [`RunOptions`]: telemetry sink,
-    /// cancel token, fault hook and clock.
+    /// Runs the variant with a telemetry sink, cancel token, fault hook
+    /// and clock (see [`RunOptions`]).
+    ///
+    /// * `Sequential` generates its neighborhood in `cfg.chunks` chunks;
+    ///   `Synchronous(p)` and `Asynchronous(p)` use `p` chunks. Sequential
+    ///   ignores the clock — its wall time is already a faithful serial
+    ///   measurement.
+    /// * The cancel token is checked at the top of each iteration (per
+    ///   searcher for the collaborative variant), so a stopped run returns
+    ///   its best-so-far front as a valid, truncated prefix of the
+    ///   unstopped run; read [`CancelToken::cause`] to learn why it
+    ///   stopped. This is what the solver service (`tsmo-serve`) and the
+    ///   `solve --deadline-ms` / `--cancel-after-iters` flags use.
+    /// * The fault hook drives the asynchronous variant's worker tasks
+    ///   (resent, quarantined, respawned, degraded mode) and the
+    ///   collaborative variant's exchanges (dropped or delayed, dead peers
+    ///   routed around). `Sequential` and `Synchronous` have no recovery
+    ///   path and ignore it.
+    /// * On [`Clock::Virtual`] the run is single-threaded, so its event
+    ///   stream is byte-reproducible for a fixed seed (fix
+    ///   [`TsmoConfig::sim_eval_cost`] to also pin the simulated schedule
+    ///   of the asynchronous and collaborative variants — faulted runs
+    ///   included). On threads, the *interleaving* of worker and
+    ///   multisearch events follows thread timing.
+    ///
+    /// # Panics
+    /// Panics on zero processors, or on a speed vector whose length is not
+    /// the processor count.
     pub fn run_with(
         self,
         inst: &Arc<Instance>,
         cfg: &TsmoConfig,
         opts: &RunOptions,
     ) -> TsmoOutcome {
-        let recorder = Arc::clone(&opts.recorder);
-        let faults = Arc::clone(&opts.faults);
-        match (&opts.clock, self) {
-            (Clock::Wall, _) | (Clock::Virtual { .. }, ParallelVariant::Sequential) => {
-                self.run_with_cancel(inst, cfg, recorder, faults, opts.cancel.clone())
+        let (processors, chunks) = match self {
+            ParallelVariant::Sequential => (1, cfg.chunks),
+            ParallelVariant::Synchronous(p) | ParallelVariant::Asynchronous(p) => (p, p),
+            ParallelVariant::Collaborative(p) => (p, cfg.chunks),
+        };
+        assert!(processors > 0, "{self:?} needs at least one processor");
+        let cfg = TsmoConfig {
+            chunks,
+            ..cfg.clone()
+        };
+        let speeds = match &opts.clock {
+            Clock::Wall => None,
+            Clock::Virtual { speeds } => Some(speeds.as_deref()),
+        };
+        let recorder = &opts.recorder;
+        let sim = |speeds| SimClock::new(&cfg, processors, speeds);
+        let params = cfg.sample_params();
+        let no_faults = tsmo_faults::none();
+        // Executors are built before the search core so a wall-clock
+        // runtime covers construction.
+        match (self, speeds) {
+            (ParallelVariant::Sequential, _) | (ParallelVariant::Synchronous(_), None) => {
+                let exec = Threads::spawn(inst, processors, params, recorder, &no_faults, |p| p);
+                barrier::run(master(inst, &cfg, recorder), exec, &opts.cancel)
             }
-            (Clock::Virtual { speeds }, ParallelVariant::Synchronous(p)) => {
-                let mut sim = SimSyncTsmo::new(cfg.clone(), p);
-                if let Some(s) = speeds {
-                    sim = sim.with_speeds(s.clone());
-                }
-                sim.run_with(inst, recorder)
+            (ParallelVariant::Synchronous(_), Some(speeds)) => {
+                let exec = Virtual::new(inst, sim(speeds), recorder, &no_faults);
+                barrier::run(master(inst, &cfg, recorder), exec, &opts.cancel)
             }
-            (Clock::Virtual { speeds }, ParallelVariant::Asynchronous(p)) => {
-                let mut sim = SimAsyncTsmo::new(cfg.clone(), p).with_fault_hook(faults);
-                if let Some(s) = speeds {
-                    sim = sim.with_speeds(s.clone());
-                }
-                sim.run_with(inst, recorder)
+            (ParallelVariant::Asynchronous(_), None) => {
+                let exec = Threads::supervised(inst, processors, params, recorder, &opts.faults);
+                asynchronous::run(master(inst, &cfg, recorder), exec, &opts.cancel, &mut ())
             }
-            (Clock::Virtual { .. }, ParallelVariant::Collaborative(p)) => {
-                SimCollaborativeTsmo::new(cfg.clone(), p)
-                    .with_fault_hook(faults)
-                    .run_with(inst, recorder)
+            (ParallelVariant::Asynchronous(_), Some(speeds)) => {
+                let exec = Virtual::new(inst, sim(speeds), recorder, &opts.faults);
+                asynchronous::run(master(inst, &cfg, recorder), exec, &opts.cancel, &mut ())
             }
-        }
-    }
-
-    /// [`run_with`](Self::run_with) plus a fault-injection hook (see the
-    /// `tsmo-faults` crate). The asynchronous variant runs its workers
-    /// under the self-healing `deme::Supervisor` (resend, quarantine,
-    /// respawn, degraded mode); the collaborative variant drops or delays
-    /// exchange messages and routes around dead peers. `Sequential` and
-    /// `Synchronous` have no recovery path and ignore the hook. An
-    /// inactive hook ([`tsmo_faults::FaultHook::active`] is `false`) takes
-    /// exactly the unfaulted code path.
-    pub fn run_with_faults(
-        self,
-        inst: &Arc<Instance>,
-        cfg: &TsmoConfig,
-        recorder: Arc<dyn tsmo_obs::Recorder>,
-        faults: Arc<dyn tsmo_faults::FaultHook>,
-    ) -> TsmoOutcome {
-        self.run_with_cancel(inst, cfg, recorder, faults, CancelToken::never())
-    }
-
-    /// The full-featured entry point: [`run_with_faults`] plus a
-    /// cooperative stop signal. The token is checked at the top of each
-    /// iteration (per searcher for the collaborative variant), so a
-    /// stopped run returns its best-so-far front as a valid, truncated
-    /// prefix of the unstopped run — the caller reads
-    /// [`CancelToken::cause`] to learn why it stopped. This is what the
-    /// solver service (`tsmo-serve`) and the `solve --deadline-ms` /
-    /// `--cancel-after-iters` flags use.
-    ///
-    /// [`run_with_faults`]: Self::run_with_faults
-    pub fn run_with_cancel(
-        self,
-        inst: &Arc<Instance>,
-        cfg: &TsmoConfig,
-        recorder: Arc<dyn tsmo_obs::Recorder>,
-        faults: Arc<dyn tsmo_faults::FaultHook>,
-        cancel: CancelToken,
-    ) -> TsmoOutcome {
-        match self {
-            ParallelVariant::Sequential => SequentialTsmo::new(cfg.clone())
-                .with_cancel_token(cancel)
-                .run_with(inst, recorder),
-            ParallelVariant::Synchronous(p) => SyncTsmo::new(cfg.clone(), p)
-                .with_cancel_token(cancel)
-                .run_with(inst, recorder),
-            ParallelVariant::Asynchronous(p) => AsyncTsmo::new(cfg.clone(), p)
-                .with_fault_hook(faults)
-                .with_cancel_token(cancel)
-                .run_with(inst, recorder),
-            ParallelVariant::Collaborative(p) => CollaborativeTsmo::new(cfg.clone(), p)
-                .with_fault_hook(faults)
-                .with_cancel_token(cancel)
-                .run_with(inst, recorder),
-        }
-    }
-
-    /// Runs the variant with **virtual-time** parallelism: the same
-    /// algorithm, executed single-threaded with each work item's cost
-    /// measured and scheduled on a simulated cluster
-    /// (see [`deme::virtual_time`]). `runtime_seconds` in the outcome is
-    /// the virtual makespan — use this on hosts with fewer cores than the
-    /// experiment's processor count. `Sequential` runs normally (its wall
-    /// time is already a faithful serial measurement).
-    pub fn run_simulated(self, inst: &Arc<Instance>, cfg: &TsmoConfig) -> TsmoOutcome {
-        self.run_simulated_with(inst, cfg, tsmo_obs::noop())
-    }
-
-    /// [`run_simulated`](Self::run_simulated) with a telemetry sink. The
-    /// single-threaded simulations emit byte-reproducible event streams for
-    /// a fixed seed (fix [`TsmoConfig::sim_eval_cost`] to also pin the
-    /// simulated schedule of the asynchronous/collaborative variants).
-    pub fn run_simulated_with(
-        self,
-        inst: &Arc<Instance>,
-        cfg: &TsmoConfig,
-        recorder: Arc<dyn tsmo_obs::Recorder>,
-    ) -> TsmoOutcome {
-        self.run_simulated_with_faults(inst, cfg, recorder, tsmo_faults::none())
-    }
-
-    /// [`run_simulated_with`](Self::run_simulated_with) plus a
-    /// fault-injection hook. The simulated asynchronous and collaborative
-    /// variants mirror the thread-based recovery policy deterministically
-    /// in virtual time, so with a fixed [`TsmoConfig::sim_eval_cost`] the
-    /// *faulted* event stream is byte-reproducible too — and an inactive
-    /// hook leaves the stream byte-identical to a run without a hook.
-    pub fn run_simulated_with_faults(
-        self,
-        inst: &Arc<Instance>,
-        cfg: &TsmoConfig,
-        recorder: Arc<dyn tsmo_obs::Recorder>,
-        faults: Arc<dyn tsmo_faults::FaultHook>,
-    ) -> TsmoOutcome {
-        match self {
-            ParallelVariant::Sequential => {
-                SequentialTsmo::new(cfg.clone()).run_with(inst, recorder)
+            (ParallelVariant::Collaborative(n), None) => collaborative::run(inst, &cfg, n, opts),
+            (ParallelVariant::Collaborative(n), Some(speeds)) => {
+                simulated::run_collaborative(inst, &cfg, n, speeds, opts)
             }
-            ParallelVariant::Synchronous(p) => {
-                SimSyncTsmo::new(cfg.clone(), p).run_with(inst, recorder)
-            }
-            ParallelVariant::Asynchronous(p) => SimAsyncTsmo::new(cfg.clone(), p)
-                .with_fault_hook(faults)
-                .run_with(inst, recorder),
-            ParallelVariant::Collaborative(p) => SimCollaborativeTsmo::new(cfg.clone(), p)
-                .with_fault_hook(faults)
-                .run_with(inst, recorder),
         }
     }
 
@@ -264,6 +218,22 @@ impl ParallelVariant {
             ParallelVariant::Collaborative(p) => format!("TSMO coll. ({p})"),
         }
     }
+}
+
+/// The single search core of a master–worker run: searcher 0, seeded
+/// directly from `cfg.seed`.
+fn master(
+    inst: &Arc<Instance>,
+    cfg: &TsmoConfig,
+    recorder: &Arc<dyn tsmo_obs::Recorder>,
+) -> SearchCore {
+    SearchCore::with_recorder(
+        Arc::clone(inst),
+        cfg.clone(),
+        Xoshiro256StarStar::seed_from_u64(cfg.seed),
+        Arc::clone(recorder),
+        0,
+    )
 }
 
 #[cfg(test)]

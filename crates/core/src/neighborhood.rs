@@ -51,6 +51,17 @@ pub struct Chunk {
     pub tally: SampleTally,
 }
 
+/// One unit of neighborhood work as it travels to a worker: `count`
+/// neighbors of `snapshot` from `seed`, tagged with the master iteration
+/// that spawned them.
+#[derive(Clone)]
+pub(crate) struct Task {
+    pub(crate) snapshot: EvaluatedSolution,
+    pub(crate) seed: u64,
+    pub(crate) count: usize,
+    pub(crate) iteration: usize,
+}
+
 /// Generates (up to) `count` neighbors of `snapshot` from `seed`.
 ///
 /// Each successful draw costs one evaluation; the caller is responsible

@@ -48,6 +48,33 @@ pub struct TsmoOutcome {
 }
 
 impl TsmoOutcome {
+    /// Merges the per-searcher `(archive, evaluations, iterations)` of a
+    /// multisearch run: the non-dominated union of the archives, truncated
+    /// to `capacity` with the archive's crowding rule; evaluations and
+    /// iterations are summed over searchers.
+    pub(crate) fn merged(
+        capacity: usize,
+        runtime_seconds: f64,
+        parts: impl IntoIterator<Item = (Vec<FrontEntry>, u64, usize)>,
+    ) -> Self {
+        let mut merged = pareto::Archive::new(capacity);
+        let (mut evaluations, mut iterations) = (0, 0);
+        for (archive, evals, iters) in parts {
+            evaluations += evals;
+            iterations += iters;
+            for entry in archive {
+                merged.insert(entry);
+            }
+        }
+        TsmoOutcome {
+            archive: merged.into_items(),
+            evaluations,
+            iterations,
+            runtime_seconds,
+            trace: None,
+        }
+    }
+
     /// The archive members with no time-window violation — the paper's
     /// tables "only \[consider\] those solutions that did not violate the
     /// time window and capacity constraints" (capacity is structural here:

@@ -1,18 +1,19 @@
 //! One collaborative searcher, step-wise.
 //!
-//! [`CollaborativeTsmo`](crate::CollaborativeTsmo) runs this loop on a
-//! thread per searcher; a cluster node (`tsmo-cluster`) runs it against
-//! TCP-backed endpoints; a virtual mesh steps many of them round-robin on
-//! one thread for byte-reproducible distributed runs. All three drive the
-//! identical state machine — the only degree of freedom is the endpoint's
-//! transport and who calls [`CollabSearcher::step_once`] when.
+//! [`ParallelVariant::Collaborative`](crate::ParallelVariant::Collaborative)
+//! runs this loop on a thread per searcher; a cluster node
+//! (`tsmo-cluster`) runs it against TCP-backed endpoints; a virtual mesh
+//! steps many of them round-robin on one thread for byte-reproducible
+//! distributed runs. All three drive the identical state machine — the
+//! only degree of freedom is the endpoint's transport and who calls
+//! [`CollabSearcher::step_once`] when.
 
 use crate::cancel::CancelToken;
 use crate::config::TsmoConfig;
 use crate::core_search::SearchCore;
-use crate::fault_obs::record_fault;
 use crate::neighborhood::generate_chunk_tallied;
 use crate::outcome::FrontEntry;
+use crate::telemetry::{exchange, record_fault};
 use deme::multisearch::{Endpoint, PeerEvent};
 use deme::EvaluationBudget;
 use detrand::Xoshiro256StarStar;
@@ -34,17 +35,9 @@ pub(crate) fn send_entry(
     let vector = entry.objectives.to_vector();
     match endpoint.send_next(entry) {
         Some(peer) => {
-            recorder.counter_add(names::EXCHANGE_SENT, 1);
             recorder.counter_add(names::EXCHANGES_SENT, 1);
             recorder.counter_add(&names::exchanges_sent_to_peer(peer), 1);
-            if recorder.enabled() {
-                recorder.event(SearchEvent::Exchange {
-                    searcher: id as u32,
-                    peer: peer as u32,
-                    direction: ExchangeDirection::Sent,
-                    objectives: vector,
-                });
-            }
+            exchange(&**recorder, id, peer, ExchangeDirection::Sent, vector);
         }
         None => {
             // Every peer is dead or disconnected; the entry is dropped.
@@ -97,6 +90,75 @@ pub fn searcher_cfg(base: &TsmoConfig, id: usize, rng: &mut Xoshiro256StarStar) 
     }
 }
 
+/// The collaboration gate of §III.E, shared by every multisearch loop.
+///
+/// A searcher first runs an *initial phase*, which ends once its archive
+/// "could not add any new solutions to the set of pareto optimal
+/// solutions found for a number of iterations" (its stagnation limit).
+/// After it, every archive improvement is a candidate for the rotation,
+/// and the `exchange_interval` migration policy offers only every k-th
+/// one (k = 1 offers all, the paper's policy).
+#[derive(Debug, Clone)]
+pub(crate) struct CollabGate {
+    initial_phase: bool,
+    stagnation: usize,
+    stagnation_limit: usize,
+    /// Post-initial-phase archive improvements seen.
+    improvements: u64,
+    interval: u64,
+}
+
+impl CollabGate {
+    pub(crate) fn new(cfg: &TsmoConfig) -> Self {
+        Self {
+            initial_phase: true,
+            stagnation: 0,
+            stagnation_limit: cfg.stagnation_limit,
+            improvements: 0,
+            interval: cfg.exchange_interval.max(1) as u64,
+        }
+    }
+
+    /// Feeds one step's archive improvement (if any) and returns the entry
+    /// to offer to the communication list, if the gate lets it through.
+    pub(crate) fn offer(&mut self, improved: Option<FrontEntry>) -> Option<FrontEntry> {
+        if self.initial_phase {
+            if improved.is_some() {
+                self.stagnation = 0;
+            } else {
+                self.stagnation += 1;
+                if self.stagnation >= self.stagnation_limit {
+                    self.initial_phase = false;
+                }
+            }
+            return None;
+        }
+        let entry = improved?;
+        self.improvements += 1;
+        (self.improvements - 1)
+            .is_multiple_of(self.interval)
+            .then_some(entry)
+    }
+}
+
+/// Drains `endpoint`'s inbox into the searcher's `M_nondom` ("the process
+/// receiving the individual tries to store the solution in its memory of
+/// non-dominated solutions") and publishes the exchange telemetry.
+pub(crate) fn receive_entries(
+    endpoint: &mut Endpoint<FrontEntry>,
+    core: &mut SearchCore,
+    id: usize,
+) {
+    let recorder = Arc::clone(core.recorder());
+    recorder.observe(names::RESULT_QUEUE_DEPTH, endpoint.inbox_len() as f64);
+    for entry in endpoint.drain() {
+        recorder.counter_add(names::EXCHANGES_RECEIVED, 1);
+        let objectives = entry.objectives.to_vector();
+        exchange(&*recorder, id, id, ExchangeDirection::Received, objectives);
+        core.offer_to_nondom(entry);
+    }
+}
+
 /// What a finished searcher hands back for merging.
 pub struct SearcherResult {
     /// The searcher's final `M_archive`.
@@ -123,11 +185,7 @@ pub struct CollabSearcher {
     hook: Arc<dyn FaultHook>,
     recorder: Arc<dyn Recorder>,
     id: usize,
-    initial_phase: bool,
-    initial_stagnation: usize,
-    /// Post-initial-phase archive improvements seen, driving the
-    /// `exchange_interval` migration policy.
-    improvements: u64,
+    gate: CollabGate,
     /// Fault bookkeeping: decision counter, local iteration ticks, and
     /// delayed messages waiting for their tick.
     exchange_seq: u64,
@@ -156,6 +214,7 @@ impl CollabSearcher {
             Arc::clone(&recorder),
             id as u32,
         );
+        let gate = CollabGate::new(&cfg);
         Self {
             inst,
             cfg,
@@ -165,9 +224,7 @@ impl CollabSearcher {
             hook,
             recorder,
             id,
-            initial_phase: true,
-            initial_stagnation: 0,
-            improvements: 0,
+            gate,
             exchange_seq: 0,
             tick: 0,
             delayed: Vec::new(),
@@ -230,22 +287,7 @@ impl CollabSearcher {
             }
         }
         // Collaborate: incoming solutions feed M_nondom.
-        self.recorder
-            .observe(names::RESULT_QUEUE_DEPTH, endpoint.inbox_len() as f64);
-        for entry in endpoint.drain() {
-            self.recorder.counter_add(names::EXCHANGE_RECEIVED, 1);
-            self.recorder.counter_add(names::EXCHANGES_RECEIVED, 1);
-            if self.recorder.enabled() {
-                self.recorder.event(SearchEvent::Exchange {
-                    searcher: self.id as u32,
-                    // The wire format carries no sender id.
-                    peer: self.id as u32,
-                    direction: ExchangeDirection::Received,
-                    objectives: entry.objectives.to_vector(),
-                });
-            }
-            self.core.offer_to_nondom(entry);
-        }
+        receive_entries(endpoint, &mut self.core, self.id);
         drop(exchange_span);
         let granted = self.budget.try_consume(self.cfg.neighborhood_size as u64) as usize;
         if granted == 0 {
@@ -266,28 +308,9 @@ impl CollabSearcher {
         drop(eval_span);
         self.core.note_tally(&chunk.tally);
         let report = self.core.step(chunk.neighbors);
-        if self.initial_phase {
-            // The initial phase ends when the searcher "could not add any
-            // new solutions to the set of pareto optimal solutions found
-            // for a number of iterations".
-            if report.improved_archive.is_some() {
-                self.initial_stagnation = 0;
-            } else {
-                self.initial_stagnation += 1;
-                if self.initial_stagnation >= self.cfg.stagnation_limit {
-                    self.initial_phase = false;
-                }
-            }
-        } else if let Some(entry) = report.improved_archive {
-            // Migration interval: only every k-th improvement is offered
-            // to the rotation (k = 1 sends all, the paper's policy). The
-            // decision precedes the fault draw so skipped improvements
-            // consume no fault sequence numbers.
-            self.improvements += 1;
-            if !(self.improvements - 1).is_multiple_of(self.cfg.exchange_interval.max(1) as u64) {
-                publish_peer_events(endpoint, &self.recorder, self.id);
-                return true;
-            }
+        // The gate precedes the fault draw, so skipped improvements
+        // consume no fault sequence numbers.
+        if let Some(entry) = self.gate.offer(report.improved_archive) {
             let _span = Span::enter(&self.recorder, "exchange", trace_id, span_parent);
             let fault = if self.hook.active() {
                 let seq = self.exchange_seq;

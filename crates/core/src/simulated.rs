@@ -1,566 +1,103 @@
-//! Virtual-time (discrete-event) versions of the three parallel variants.
+//! Virtual-time execution: the cost model shared by the virtual-clock
+//! executors, and the collaborative multisearch on a virtual cluster.
 //!
 //! The paper's runtime and speedup columns were measured on a 128-processor
 //! SGI Origin 3800. On hosts with fewer cores than the experiment's
 //! processor count — in the limit a single-core CI container, where OS
-//! threads merely timeshare — the thread-based variants in this crate
-//! cannot exhibit real speedup. These `Sim*` runners execute the *same
-//! algorithms* single-threaded, measure each work item's true serial cost,
-//! and schedule the items on a [`VirtualCluster`] with per-message latency;
-//! the reported `runtime_seconds` is the cluster's virtual makespan — the
-//! wall time a real P-processor machine would have needed.
+//! threads merely timeshare — thread-based runs cannot exhibit real
+//! speedup. With [`Clock::Virtual`](crate::Clock::Virtual) the *same
+//! algorithms* run single-threaded: each work item's true serial cost is
+//! measured (or fixed by [`TsmoConfig::sim_eval_cost`]) and charged to its
+//! processor on a [`VirtualCluster`] with per-message latency, and the
+//! reported `runtime_seconds` is the cluster's virtual makespan — the wall
+//! time a real P-processor machine would have needed.
 //!
-//! Fidelity notes:
-//!
-//! * `SimSyncTsmo` follows exactly the synchronous schedule (dispatch →
-//!   parallel chunks → barrier collect → selection) and produces the *same
-//!   trajectory* as [`SyncTsmo`](crate::SyncTsmo) and the chunked
-//!   sequential algorithm — tested.
-//! * `SimAsyncTsmo` is an event-driven simulation of Algorithm 2: worker
-//!   completions become timed events, and the decision function's four
-//!   conditions are evaluated against virtual time.
-//! * `SimCollaborativeTsmo` simulates the searchers event-interleaved by
-//!   their virtual clocks; messages are charged `latency · P/2` to model
-//!   interconnect contention on the shared-memory machine, which is what
-//!   makes the collaborative runtime *grow* with the processor count as in
-//!   the paper's tables.
+//! The barrier and Algorithm-2 drivers take a virtual executor like any
+//! other; the collaborative multisearch keeps its own event loop here,
+//! interleaving the searchers by their virtual clocks. Its messages are
+//! charged `latency · P/2` to model interconnect contention on the
+//! shared-memory machine, which is what makes the collaborative runtime
+//! *grow* with the processor count as in the paper's tables.
 
 use crate::config::TsmoConfig;
 use crate::core_search::SearchCore;
-use crate::fault_obs::record_fault;
-use crate::neighborhood::{generate_chunk_tallied, Chunk, Neighbor};
+use crate::neighborhood::generate_chunk_tallied;
+use crate::options::RunOptions;
 use crate::outcome::{FrontEntry, TsmoOutcome};
-use deme::{EvaluationBudget, SupervisorConfig, VirtualCluster};
-use detrand::{streams, Xoshiro256StarStar};
-use pareto::Archive;
+use crate::searcher::{searcher_cfg, CollabGate};
+use crate::telemetry::{exchange, record_fault};
+use deme::{EvaluationBudget, VirtualCluster};
+use detrand::{streams, Rng as _};
 use std::sync::Arc;
-use tsmo_faults::{FaultHook, MsgFault, TaskFault};
-use tsmo_obs::{metrics::names, ExchangeDirection, FaultKind, Recorder, SearchEvent};
+use tsmo_faults::MsgFault;
+use tsmo_obs::{metrics::names, ExchangeDirection, FaultKind, Recorder};
 use vrptw::Instance;
 
-/// Executes `f` as processor `p`'s work: with `cost = None` the *measured*
-/// wall cost is charged to the virtual clock ([`VirtualCluster::charge`]);
-/// with a fixed cost the schedule is independent of the host's timing, which
-/// makes the event-driven simulations deterministic (see
-/// [`TsmoConfig::sim_eval_cost`]).
-fn charge_with<R>(
-    cluster: &mut VirtualCluster,
-    p: usize,
-    cost: Option<f64>,
-    f: impl FnOnce() -> R,
-) -> R {
-    match cost {
-        Some(c) => {
-            let out = f();
-            cluster.advance(p, c);
-            out
-        }
-        None => cluster.charge(p, f),
-    }
+/// A virtual cluster plus the cost model for the work charged to it.
+pub(crate) struct SimClock {
+    pub(crate) cluster: VirtualCluster,
+    /// Fixed virtual cost per evaluation; `None` measures wall cost.
+    unit_cost: Option<f64>,
 }
 
-/// Simulated synchronous master–worker TSMO (virtual-time runtime).
-pub struct SimSyncTsmo {
-    cfg: TsmoConfig,
-    processors: usize,
-    speeds: Option<Vec<f64>>,
-}
-
-impl SimSyncTsmo {
-    /// Creates the runner.
+impl SimClock {
+    /// A cluster of `processors` with `cfg`'s latency and cost model;
+    /// `speeds` makes it heterogeneous.
     ///
     /// # Panics
-    /// Panics if `processors == 0`.
-    pub fn new(cfg: TsmoConfig, processors: usize) -> Self {
-        assert!(processors > 0, "need at least the master processor");
+    /// Panics if `speeds` does not hold one speed per processor.
+    pub(crate) fn new(cfg: &TsmoConfig, processors: usize, speeds: Option<&[f64]>) -> Self {
+        let cluster = match speeds {
+            Some(s) => {
+                assert_eq!(s.len(), processors, "one speed per processor");
+                VirtualCluster::heterogeneous(s.to_vec(), cfg.sim_comm_latency)
+            }
+            None => VirtualCluster::new(processors, cfg.sim_comm_latency),
+        };
         Self {
-            cfg,
-            processors,
-            speeds: None,
+            cluster,
+            unit_cost: cfg.sim_eval_cost,
         }
     }
 
-    /// Simulates a heterogeneous machine: `speeds[p]` is processor `p`'s
-    /// relative speed (processor 0 is the master). The trajectory is
-    /// unaffected — the synchronous barrier hides heterogeneity in wasted
-    /// waiting time, which is exactly what the makespan then shows.
-    ///
-    /// # Panics
-    /// Panics if the vector length differs from the processor count.
-    pub fn with_speeds(mut self, speeds: Vec<f64>) -> Self {
-        assert_eq!(speeds.len(), self.processors, "one speed per processor");
-        self.speeds = Some(speeds);
-        self
+    /// The fixed virtual cost of `units` evaluations, if costs are fixed.
+    pub(crate) fn cost(&self, units: usize) -> Option<f64> {
+        self.unit_cost.map(|c| c * units as f64)
     }
 
-    /// Runs to budget exhaustion; `runtime_seconds` is virtual.
-    pub fn run(&self, inst: &Arc<Instance>) -> TsmoOutcome {
-        self.run_with(inst, tsmo_obs::noop())
-    }
-
-    /// Runs with a telemetry sink attached. Because the simulation is
-    /// single-threaded, the event stream (including worker task/result
-    /// events) is byte-reproducible for a fixed seed.
-    pub fn run_with(&self, inst: &Arc<Instance>, recorder: Arc<dyn Recorder>) -> TsmoOutcome {
-        let mut cfg = self.cfg.clone();
-        cfg.chunks = self.processors;
-        let p = self.processors;
-        let budget = EvaluationBudget::new(cfg.max_evaluations);
-        let mut cluster = match &self.speeds {
-            Some(s) => VirtualCluster::heterogeneous(s.clone(), cfg.sim_comm_latency),
-            None => VirtualCluster::new(p, cfg.sim_comm_latency),
-        };
-        let mut core = SearchCore::with_recorder(
-            Arc::clone(inst),
-            cfg.clone(),
-            Xoshiro256StarStar::seed_from_u64(cfg.seed),
-            Arc::clone(&recorder),
-            0,
-        );
-        let sizes = cfg.chunk_sizes();
-        let mut tally = vrptw_operators::SampleTally::default();
-        while !budget.exhausted() {
-            let seeds = core.chunk_seeds();
-            let granted: Vec<usize> = sizes
-                .iter()
-                .map(|&s| budget.try_consume(s as u64) as usize)
-                .collect();
-            recorder.counter_add(names::EVALUATIONS, granted.iter().map(|&g| g as u64).sum());
-            // Dispatch: workers can start once the master's message arrives.
-            #[allow(clippy::needless_range_loop)] // w is also the worker id
-            for w in 1..p {
-                if recorder.enabled() {
-                    recorder.event(SearchEvent::WorkerTask {
-                        worker: w as u32,
-                        iteration: core.iteration() as u64,
-                        count: granted[w] as u32,
-                    });
-                }
-                let arrival = cluster.send_at(0, 1.0);
-                cluster.receive(w, arrival);
+    /// Executes `f` as `units` evaluations of processor `p`'s work: with
+    /// fixed costs the schedule is independent of the host's timing (which
+    /// makes the event-driven schedules deterministic), otherwise the
+    /// *measured* wall cost is charged ([`VirtualCluster::charge`]).
+    pub(crate) fn charge<R>(&mut self, p: usize, units: usize, f: impl FnOnce() -> R) -> R {
+        match self.cost(units) {
+            Some(c) => {
+                let out = f();
+                self.cluster.advance(p, c);
+                out
             }
-            // Chunks run "in parallel": each charged to its own processor.
-            let mut chunks: Vec<Chunk> = Vec::with_capacity(p);
-            for proc in (0..p).rev() {
-                // Master's own chunk is chunk 0; workers hold 1..P. The
-                // computation order here is irrelevant — only the virtual
-                // clocks matter — but chunk order in the pool is preserved.
-                let cost = cfg.sim_eval_cost.map(|c| c * granted[proc] as f64);
-                let chunk = charge_with(&mut cluster, proc, cost, || {
-                    generate_chunk_tallied(
-                        inst,
-                        core.current(),
-                        seeds[proc],
-                        granted[proc],
-                        core.sample_params(),
-                        core.iteration(),
-                    )
-                });
-                chunks.push(chunk);
-            }
-            chunks.reverse();
-            // Collect: the master waits for every worker's reply.
-            #[allow(clippy::needless_range_loop)] // w is also the worker id
-            for w in 1..p {
-                if recorder.enabled() {
-                    recorder.event(SearchEvent::WorkerResult {
-                        worker: w as u32,
-                        iteration: core.iteration() as u64,
-                        neighbors: chunks[w].neighbors.len() as u32,
-                    });
-                }
-                let arrival = cluster.send_at(w, 1.0);
-                cluster.receive(0, arrival);
-            }
-            for chunk in &chunks {
-                tally.merge(&chunk.tally);
-            }
-            let pool: Vec<Neighbor> = chunks.into_iter().flat_map(|c| c.neighbors).collect();
-            if pool.is_empty() && budget.exhausted() {
-                break;
-            }
-            let cost = cfg.sim_eval_cost.map(|c| c * pool.len() as f64);
-            charge_with(&mut cluster, 0, cost, || core.step(pool));
-        }
-        let makespan = cluster.makespan();
-        record_virtual_run(&*recorder, &cluster, makespan, p);
-        core.note_tally(&tally);
-        let (archive, trace, iterations) = core.finish();
-        TsmoOutcome {
-            archive,
-            evaluations: budget.consumed(),
-            iterations,
-            runtime_seconds: makespan,
-            trace,
-        }
-    }
-}
-
-/// Simulated asynchronous master–worker TSMO (virtual-time runtime).
-pub struct SimAsyncTsmo {
-    cfg: TsmoConfig,
-    processors: usize,
-    speeds: Option<Vec<f64>>,
-    faults: Arc<dyn FaultHook>,
-}
-
-/// A worker's outstanding chunk in the event simulation.
-struct Outstanding {
-    /// Virtual time the result reaches the master.
-    arrival: f64,
-    chunk: Chunk,
-}
-
-/// Per-worker recovery state of the simulated supervisor mirror.
-struct SimWorkerState {
-    consecutive_panics: u32,
-    respawns_used: u32,
-    retired: bool,
-}
-
-impl SimAsyncTsmo {
-    /// Creates the runner.
-    ///
-    /// # Panics
-    /// Panics if `processors == 0`.
-    pub fn new(cfg: TsmoConfig, processors: usize) -> Self {
-        assert!(processors > 0, "need at least the master processor");
-        Self {
-            cfg,
-            processors,
-            speeds: None,
-            faults: tsmo_faults::none(),
+            None => self.cluster.charge(p, f),
         }
     }
 
-    /// Attaches a fault-injection hook (see the `tsmo-faults` crate). The
-    /// simulation mirrors the thread-based supervisor deterministically in
-    /// virtual time: an injected panic costs the worker a re-execution
-    /// (bounded retries, then the task is lost), repeated panics
-    /// quarantine and once respawn the virtual worker, and with every
-    /// worker retired the master continues alone (degraded mode). With a
-    /// fixed [`TsmoConfig::sim_eval_cost`] the full faulted event stream
-    /// is byte-reproducible, and an inactive hook leaves the stream
-    /// byte-identical to a run without a hook.
-    pub fn with_fault_hook(mut self, hook: Arc<dyn FaultHook>) -> Self {
-        self.faults = hook;
-        self
-    }
-
-    /// Simulates a heterogeneous machine (see
-    /// [`SimSyncTsmo::with_speeds`]): here slow workers simply deliver
-    /// later and the decision function moves on without them — the paper's
-    /// argument for why the asynchronous variant "should perform well on
-    /// both homogenous and heterogenous systems".
-    ///
-    /// # Panics
-    /// Panics if the vector length differs from the processor count.
-    pub fn with_speeds(mut self, speeds: Vec<f64>) -> Self {
-        assert_eq!(speeds.len(), self.processors, "one speed per processor");
-        self.speeds = Some(speeds);
-        self
-    }
-
-    /// Runs to budget exhaustion; `runtime_seconds` is virtual.
-    pub fn run(&self, inst: &Arc<Instance>) -> TsmoOutcome {
-        self.run_with(inst, tsmo_obs::noop())
-    }
-
-    /// Runs with a telemetry sink attached. The event-driven simulation is
-    /// single-threaded and its decision function runs in virtual time, so —
-    /// unlike the thread-based [`AsyncTsmo`](crate::AsyncTsmo) — the full
-    /// event stream (staleness, worker traffic, iterations) is
-    /// byte-reproducible for a fixed seed. This is the suite's determinism
-    /// proof vehicle.
-    pub fn run_with(&self, inst: &Arc<Instance>, recorder: Arc<dyn Recorder>) -> TsmoOutcome {
-        let mut cfg = self.cfg.clone();
-        cfg.chunks = self.processors;
-        let p = self.processors;
-        let budget = EvaluationBudget::new(cfg.max_evaluations);
-        let mut cluster = match &self.speeds {
-            Some(s) => VirtualCluster::heterogeneous(s.clone(), cfg.sim_comm_latency),
-            None => VirtualCluster::new(p, cfg.sim_comm_latency),
-        };
-        let mut core = SearchCore::with_recorder(
-            Arc::clone(inst),
-            cfg.clone(),
-            Xoshiro256StarStar::seed_from_u64(cfg.seed),
-            Arc::clone(&recorder),
-            0,
-        );
-        let chunk = (cfg.neighborhood_size / p).max(1);
-        let max_wait = cfg.async_max_wait_ms as f64 / 1_000.0;
-        let mut outstanding: Vec<Option<Outstanding>> = (1..p).map(|_| None).collect();
-        let mut pool: Vec<Neighbor> = Vec::new();
-        let mut tally = vrptw_operators::SampleTally::default();
-
-        // Deterministic supervisor mirror: one fault draw per virtual
-        // execution, with the same retry/quarantine/respawn policy (and the
-        // same default knobs) as the thread-based `deme::Supervisor`. All
-        // of it is skipped for an inactive hook, so the no-fault event
-        // stream is byte-identical to a run without a hook.
-        let hook = Arc::clone(&self.faults);
-        let faults_on = hook.active();
-        let sup = SupervisorConfig::default();
-        let mut fault_seqs: Vec<u64> = vec![0; outstanding.len()];
-        let mut workers: Vec<SimWorkerState> = (0..outstanding.len())
-            .map(|_| SimWorkerState {
-                consecutive_panics: 0,
-                respawns_used: 0,
-                retired: false,
-            })
-            .collect();
-        let mut degraded = false;
-        if faults_on {
-            recorder.gauge_set(names::DEGRADED_MODE, 0.0);
+    /// Publishes virtual-runtime metrics and returns the makespan: per
+    /// processor, the fraction of the makespan covered by its virtual clock
+    /// (a utilization proxy — the clock stops at the processor's last
+    /// activity). These are *metrics*, derived from measured work costs, so
+    /// they vary run to run; the event stream does not.
+    pub(crate) fn finish(&self, recorder: &dyn Recorder) -> f64 {
+        let makespan = self.cluster.makespan();
+        recorder.gauge_set(names::RUNTIME_SECONDS, makespan);
+        for p in 0..self.cluster.n_processors() {
+            let frac = if makespan > 0.0 {
+                (self.cluster.clock(p) / makespan).min(1.0)
+            } else {
+                0.0
+            };
+            recorder.gauge_set(&names::worker_busy_fraction(p), frac);
         }
-
-        let fold_arrived = |pool: &mut Vec<Neighbor>,
-                            tally: &mut vrptw_operators::SampleTally,
-                            outstanding: &mut Vec<Option<Outstanding>>,
-                            now: f64,
-                            iter: u64| {
-            for (w, slot) in outstanding.iter_mut().enumerate() {
-                if slot.as_ref().is_some_and(|o| o.arrival <= now) {
-                    let o = slot.take().expect("checked above");
-                    if recorder.enabled() {
-                        recorder.event(SearchEvent::WorkerResult {
-                            worker: (w + 1) as u32,
-                            iteration: iter,
-                            neighbors: o.chunk.neighbors.len() as u32,
-                        });
-                    }
-                    tally.merge(&o.chunk.tally);
-                    pool.extend(o.chunk.neighbors);
-                }
-            }
-        };
-
-        'search: loop {
-            let now = cluster.clock(0);
-            fold_arrived(
-                &mut pool,
-                &mut tally,
-                &mut outstanding,
-                now,
-                core.iteration() as u64,
-            );
-            if budget.exhausted() {
-                break 'search;
-            }
-            // Dispatch chunks to idle workers. The chunk is computed
-            // immediately (its content does not depend on virtual time) and
-            // delivered at the simulated completion instant.
-            #[allow(clippy::needless_range_loop)] // w maps to processor w+1
-            for w in 0..outstanding.len() {
-                if outstanding[w].is_some() || workers[w].retired {
-                    continue;
-                }
-                let granted = budget.try_consume(chunk as u64) as usize;
-                if granted == 0 {
-                    break;
-                }
-                recorder.counter_add(names::EVALUATIONS, granted as u64);
-                if recorder.enabled() {
-                    recorder.event(SearchEvent::WorkerTask {
-                        worker: (w + 1) as u32,
-                        iteration: core.iteration() as u64,
-                        count: granted as u32,
-                    });
-                }
-                let seed = core.next_seed();
-                let proc = w + 1;
-                // The task message travels master -> worker.
-                let start = cluster.send_at(0, 1.0).max(cluster.clock(proc));
-                cluster.advance_to(proc, start);
-                let cost = cfg.sim_eval_cost.map(|c| c * granted as f64);
-                let worker_chunk = charge_with(&mut cluster, proc, cost, || {
-                    generate_chunk_tallied(
-                        inst,
-                        core.current(),
-                        seed,
-                        granted,
-                        core.sample_params(),
-                        core.iteration(),
-                    )
-                });
-                let mut delivered = true;
-                if faults_on {
-                    let mut attempt: u32 = 0;
-                    loop {
-                        let seq = fault_seqs[w];
-                        fault_seqs[w] += 1;
-                        match hook.on_task(proc, seq) {
-                            TaskFault::None => {
-                                workers[w].consecutive_panics = 0;
-                                break;
-                            }
-                            TaskFault::Stall { millis } => {
-                                record_fault(&*recorder, proc as u32, seq, FaultKind::TaskStall);
-                                cluster.advance(proc, millis as f64 / 1_000.0);
-                                workers[w].consecutive_panics = 0;
-                                break;
-                            }
-                            TaskFault::Late { millis } => {
-                                record_fault(&*recorder, proc as u32, seq, FaultKind::TaskLate);
-                                cluster.advance(proc, millis as f64 / 1_000.0);
-                                workers[w].consecutive_panics = 0;
-                                break;
-                            }
-                            TaskFault::Panic => {
-                                record_fault(&*recorder, proc as u32, seq, FaultKind::TaskPanic);
-                                workers[w].consecutive_panics += 1;
-                                attempt += 1;
-                                if workers[w].consecutive_panics >= sup.quarantine_after {
-                                    recorder.counter_add(names::WORKERS_QUARANTINED, 1);
-                                    if recorder.enabled() {
-                                        recorder.event(SearchEvent::WorkerQuarantined {
-                                            worker: proc as u32,
-                                            iteration: core.iteration() as u64,
-                                        });
-                                    }
-                                    if workers[w].respawns_used < sup.max_respawns {
-                                        workers[w].respawns_used += 1;
-                                        workers[w].consecutive_panics = 0;
-                                        recorder.counter_add(names::WORKERS_RESPAWNED, 1);
-                                        if recorder.enabled() {
-                                            recorder.event(SearchEvent::WorkerRespawned {
-                                                worker: proc as u32,
-                                                iteration: core.iteration() as u64,
-                                            });
-                                        }
-                                    } else {
-                                        workers[w].retired = true;
-                                        if !degraded && workers.iter().all(|st| st.retired) {
-                                            degraded = true;
-                                            recorder.gauge_set(names::DEGRADED_MODE, 1.0);
-                                            if recorder.enabled() {
-                                                recorder.event(SearchEvent::DegradedMode {
-                                                    iteration: core.iteration() as u64,
-                                                    live_workers: 0,
-                                                });
-                                            }
-                                        }
-                                    }
-                                }
-                                if workers[w].retired || attempt > sup.max_retries {
-                                    recorder.counter_add(names::TASKS_LOST, 1);
-                                    delivered = false;
-                                    break;
-                                }
-                                recorder.counter_add(names::TASKS_RESENT, 1);
-                                if recorder.enabled() {
-                                    recorder.event(SearchEvent::TaskResent {
-                                        worker: proc as u32,
-                                        iteration: core.iteration() as u64,
-                                        attempt,
-                                    });
-                                }
-                                // The retried execution costs virtual time
-                                // again (a nominal slice in measured mode).
-                                cluster.advance(proc, cost.unwrap_or(1e-4));
-                            }
-                        }
-                    }
-                }
-                if delivered {
-                    let arrival = cluster.send_at(proc, 1.0);
-                    outstanding[w] = Some(Outstanding {
-                        arrival,
-                        chunk: worker_chunk,
-                    });
-                }
-            }
-            // Master's own part.
-            let granted = budget.try_consume(chunk as u64) as usize;
-            if granted > 0 {
-                recorder.counter_add(names::EVALUATIONS, granted as u64);
-                let seed = core.next_seed();
-                let cost = cfg.sim_eval_cost.map(|c| c * granted as f64);
-                let own = charge_with(&mut cluster, 0, cost, || {
-                    generate_chunk_tallied(
-                        inst,
-                        core.current(),
-                        seed,
-                        granted,
-                        core.sample_params(),
-                        core.iteration(),
-                    )
-                });
-                tally.merge(&own.tally);
-                pool.extend(own.neighbors);
-            }
-            // Decision function (Algorithm 2) in virtual time.
-            let wait_started = cluster.clock(0);
-            loop {
-                let now = cluster.clock(0);
-                fold_arrived(
-                    &mut pool,
-                    &mut tally,
-                    &mut outstanding,
-                    now,
-                    core.iteration() as u64,
-                );
-                let current_vec = core.current().objectives().to_vector();
-                let c1 = outstanding
-                    .iter()
-                    .zip(&workers)
-                    .any(|(o, st)| o.is_none() && !st.retired);
-                let c2 = pool
-                    .iter()
-                    .any(|nb| pareto::dominates(&nb.objectives.to_vector(), &current_vec));
-                let c3 = now - wait_started >= max_wait;
-                let c4 = budget.exhausted();
-                if c1 || c2 || c3 || c4 || degraded {
-                    break;
-                }
-                // Advance to the next event: the earliest arrival or the
-                // wait bound, whichever comes first.
-                let next_arrival = outstanding
-                    .iter()
-                    .flatten()
-                    .map(|o| o.arrival)
-                    .fold(f64::INFINITY, f64::min);
-                let target = (wait_started + max_wait).min(next_arrival);
-                if !target.is_finite() {
-                    break; // no workers at all (p = 1)
-                }
-                cluster.advance_to(0, target.max(now + 1e-9));
-            }
-            if pool.is_empty() {
-                if budget.exhausted() && outstanding.iter().all(|o| o.is_none()) {
-                    break 'search;
-                }
-                continue 'search;
-            }
-            let taken = std::mem::take(&mut pool);
-            let cost = cfg.sim_eval_cost.map(|c| c * taken.len() as f64);
-            charge_with(&mut cluster, 0, cost, || core.step(taken));
-        }
-        if !pool.is_empty() {
-            let taken = std::mem::take(&mut pool);
-            let cost = cfg.sim_eval_cost.map(|c| c * taken.len() as f64);
-            charge_with(&mut cluster, 0, cost, || core.step(taken));
-        }
-        let makespan = cluster.makespan();
-        record_virtual_run(&*recorder, &cluster, makespan, p);
-        core.note_tally(&tally);
-        let (archive, trace, iterations) = core.finish();
-        TsmoOutcome {
-            archive,
-            evaluations: budget.consumed(),
-            iterations,
-            runtime_seconds: makespan,
-            trace,
-        }
+        makespan
     }
-}
-
-/// Simulated collaborative multisearch TSMO (virtual-time runtime).
-pub struct SimCollaborativeTsmo {
-    cfg: TsmoConfig,
-    searchers: usize,
-    faults: Arc<dyn FaultHook>,
 }
 
 /// One searcher's state in the event-interleaved simulation.
@@ -572,255 +109,160 @@ struct SearcherSim {
     /// Rotating communication list (peer indices).
     comm_list: Vec<usize>,
     next_peer: usize,
-    initial_phase: bool,
-    initial_stagnation: usize,
-    improvements: u64,
+    gate: CollabGate,
     done: bool,
-    iterations: usize,
 }
 
-impl SimCollaborativeTsmo {
-    /// Creates the runner.
-    ///
-    /// # Panics
-    /// Panics if `searchers == 0`.
-    pub fn new(cfg: TsmoConfig, searchers: usize) -> Self {
-        assert!(searchers > 0, "need at least one searcher");
-        Self {
-            cfg,
-            searchers,
-            faults: tsmo_faults::none(),
-        }
-    }
+/// Collaborative multisearch with `n` searchers on a virtual cluster.
+///
+/// Exchange faults are mirrored in virtual time: a dropped improvement
+/// vanishes in flight (the communication-list rotation still advances), a
+/// delayed one arrives `ticks` extra latency units later. With a fixed
+/// [`TsmoConfig::sim_eval_cost`] the cross-searcher event stream is
+/// byte-reproducible, and an inactive hook leaves it byte-identical to a
+/// run without a hook. The cancel token is checked per searcher before
+/// each of its iterations.
+pub(crate) fn run_collaborative(
+    inst: &Arc<Instance>,
+    base: &TsmoConfig,
+    n: usize,
+    speeds: Option<&[f64]>,
+    opts: &RunOptions,
+) -> TsmoOutcome {
+    let recorder = &opts.recorder;
+    let mut sim = SimClock::new(base, n, speeds);
+    // Interconnect contention grows with the searcher count (shared
+    // memory bus on the modeled Origin 3800): half a latency unit per
+    // searcher, so collaborative overhead grows roughly linearly in P
+    // as in the paper's tables.
+    let congestion = (n as f64 / 2.0).max(1.0);
+    let hook = &opts.faults;
+    let mut exch_seqs: Vec<u64> = vec![0; n];
 
-    /// Attaches a fault-injection hook (see the `tsmo-faults` crate).
-    /// Mirrors the thread-based exchange faults deterministically in
-    /// virtual time: a dropped improvement vanishes in flight (the
-    /// communication-list rotation still advances), a delayed one arrives
-    /// `ticks` extra latency units later. An inactive hook leaves the
-    /// event stream byte-identical to a run without a hook.
-    pub fn with_fault_hook(mut self, hook: Arc<dyn FaultHook>) -> Self {
-        self.faults = hook;
-        self
-    }
-
-    /// Runs all searchers to budget exhaustion; `runtime_seconds` is the
-    /// virtual makespan over the searchers.
-    pub fn run(&self, inst: &Arc<Instance>) -> TsmoOutcome {
-        self.run_with(inst, tsmo_obs::noop())
-    }
-
-    /// Runs with a telemetry sink attached. The searchers are interleaved
-    /// by their virtual clocks on one thread, so with a fixed
-    /// [`TsmoConfig::sim_eval_cost`] the cross-searcher event stream is
-    /// byte-reproducible — unlike the thread-based
-    /// [`CollaborativeTsmo`](crate::CollaborativeTsmo).
-    pub fn run_with(&self, inst: &Arc<Instance>, recorder: Arc<dyn Recorder>) -> TsmoOutcome {
-        let n = self.searchers;
-        let mut cluster = VirtualCluster::new(n, self.cfg.sim_comm_latency);
-        // Interconnect contention grows with the searcher count (shared
-        // memory bus on the modeled Origin 3800): half a latency unit per
-        // searcher, so collaborative overhead grows roughly linearly in P
-        // as in the paper's tables.
-        let congestion = (n as f64 / 2.0).max(1.0);
-        let unit_cost = self.cfg.sim_eval_cost;
-        let mut rngs: Vec<Xoshiro256StarStar> = streams(self.cfg.seed, n);
-        let hook = Arc::clone(&self.faults);
-        let faults_on = hook.active();
-        let mut exch_seqs: Vec<u64> = vec![0; n];
-
-        let mut searchers: Vec<SearcherSim> = Vec::with_capacity(n);
-        for (id, mut rng) in rngs.drain(..).enumerate() {
-            let cfg = if id == 0 {
-                self.cfg.clone()
-            } else {
-                self.cfg.perturbed(&mut rng)
-            };
+    let mut searchers: Vec<SearcherSim> = streams(base.seed, n)
+        .into_iter()
+        .enumerate()
+        .map(|(id, mut rng)| {
+            // Perturbation before the communication-list shuffle: this
+            // simulation's own draw order, pinned by its event streams.
+            let cfg = searcher_cfg(base, id, &mut rng);
             let mut comm_list: Vec<usize> = (0..n).filter(|&x| x != id).collect();
-            use detrand::Rng as _;
             rng.shuffle(&mut comm_list);
-            searchers.push(SearcherSim {
+            SearcherSim {
                 core: SearchCore::with_recorder(
                     Arc::clone(inst),
                     cfg.clone(),
                     rng,
-                    Arc::clone(&recorder),
+                    Arc::clone(recorder),
                     id as u32,
                 ),
                 budget: EvaluationBudget::new(cfg.max_evaluations),
                 inbox: Vec::new(),
                 comm_list,
                 next_peer: 0,
-                initial_phase: true,
-                initial_stagnation: 0,
-                improvements: 0,
+                gate: CollabGate::new(&cfg),
                 done: false,
-                iterations: 0,
                 cfg,
+            }
+        })
+        .collect();
+
+    // Event loop: always advance the live searcher with the earliest
+    // virtual clock by one iteration.
+    while let Some(s) = next_live(&searchers, &sim.cluster) {
+        if opts.cancel.should_stop(searchers[s].core.iteration()) {
+            searchers[s].done = true;
+            continue;
+        }
+        let now = sim.cluster.clock(s);
+        // Deliver due messages (charged with the congestion factor).
+        let mut due: Vec<FrontEntry> = Vec::new();
+        searchers[s].inbox.retain(|(arrival, entry)| {
+            if *arrival <= now {
+                due.push(entry.clone());
+                false
+            } else {
+                true
+            }
+        });
+        for entry in due {
+            let objectives = entry.objectives.to_vector();
+            exchange(&**recorder, s, s, ExchangeDirection::Received, objectives);
+            let searcher = &mut searchers[s];
+            sim.charge(s, 1, || {
+                searcher.core.offer_to_nondom(entry);
             });
         }
-
-        // Event loop: always advance the live searcher with the earliest
-        // virtual clock by one iteration.
-        while let Some(s) = next_live(&searchers, &cluster) {
-            let now = cluster.clock(s);
-            // Deliver due messages (charged with the congestion factor).
-            let mut due: Vec<FrontEntry> = Vec::new();
-            searchers[s].inbox.retain(|(arrival, entry)| {
-                if *arrival <= now {
-                    due.push(entry.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            for entry in due {
-                recorder.counter_add(names::EXCHANGE_RECEIVED, 1);
-                if recorder.enabled() {
-                    recorder.event(SearchEvent::Exchange {
-                        searcher: s as u32,
-                        // The wire format carries no sender id.
-                        peer: s as u32,
-                        direction: ExchangeDirection::Received,
-                        objectives: entry.objectives.to_vector(),
-                    });
-                }
-                let searcher = &mut searchers[s];
-                charge_with(&mut cluster, s, unit_cost, || {
-                    searcher.core.offer_to_nondom(entry);
-                });
-            }
-            let granted = {
-                let searcher = &searchers[s];
-                searcher
-                    .budget
-                    .try_consume(searcher.cfg.neighborhood_size as u64) as usize
-            };
-            if granted == 0 {
-                searchers[s].done = true;
+        let searcher = &mut searchers[s];
+        let granted = searcher
+            .budget
+            .try_consume(searcher.cfg.neighborhood_size as u64) as usize;
+        if granted == 0 {
+            searcher.done = true;
+            continue;
+        }
+        recorder.counter_add(names::EVALUATIONS, granted as u64);
+        let seed = searcher.core.next_seed();
+        let report = sim.charge(s, granted, || {
+            let chunk = generate_chunk_tallied(
+                inst,
+                searcher.core.current(),
+                seed,
+                granted,
+                searcher.core.sample_params(),
+                searcher.core.iteration(),
+            );
+            searcher.core.note_tally(&chunk.tally);
+            searcher.core.step(chunk.neighbors)
+        });
+        // Collaboration protocol. Skipped improvements precede the fault
+        // draw, so they consume no fault sequence numbers.
+        let Some(entry) = searcher.gate.offer(report.improved_archive) else {
+            continue;
+        };
+        if searcher.comm_list.is_empty() {
+            continue;
+        }
+        let peer = searcher.comm_list[searcher.next_peer];
+        searcher.next_peer = (searcher.next_peer + 1) % searcher.comm_list.len();
+        let fault = if hook.active() {
+            let seq = exch_seqs[s];
+            exch_seqs[s] += 1;
+            (seq, hook.on_exchange(s, seq))
+        } else {
+            (0, MsgFault::Deliver)
+        };
+        let extra_delay = match fault {
+            (seq, MsgFault::Drop) => {
+                // The message vanishes in flight; the rotation has already
+                // moved on, as in the thread-based variant.
+                record_fault(&**recorder, s as u32, seq, FaultKind::ExchangeDrop);
                 continue;
             }
-            recorder.counter_add(names::EVALUATIONS, granted as u64);
-            let report = {
-                let searcher = &mut searchers[s];
-                let seed = searcher.core.next_seed();
-                let cost = unit_cost.map(|c| c * granted as f64);
-                charge_with(&mut cluster, s, cost, || {
-                    let chunk = generate_chunk_tallied(
-                        inst,
-                        searcher.core.current(),
-                        seed,
-                        granted,
-                        searcher.core.sample_params(),
-                        searcher.core.iteration(),
-                    );
-                    searcher.core.note_tally(&chunk.tally);
-                    searcher.core.step(chunk.neighbors)
-                })
-            };
-            searchers[s].iterations += 1;
-            // Collaboration protocol.
-            let improved = report.improved_archive;
-            let searcher = &mut searchers[s];
-            if searcher.initial_phase {
-                if improved.is_some() {
-                    searcher.initial_stagnation = 0;
-                } else {
-                    searcher.initial_stagnation += 1;
-                    if searcher.initial_stagnation >= searcher.cfg.stagnation_limit {
-                        searcher.initial_phase = false;
-                    }
-                }
-            } else if let Some(entry) = improved {
-                searcher.improvements += 1;
-                // Same migration-interval gate as CollabSearcher::step_once:
-                // skipped improvements precede the fault draw, so they
-                // consume no fault sequence numbers in either build.
-                let offered = (searcher.improvements - 1)
-                    .is_multiple_of(searcher.cfg.exchange_interval.max(1) as u64);
-                if offered && !searcher.comm_list.is_empty() {
-                    let peer = searcher.comm_list[searcher.next_peer];
-                    searcher.next_peer = (searcher.next_peer + 1) % searcher.comm_list.len();
-                    let fault = if faults_on {
-                        let seq = exch_seqs[s];
-                        exch_seqs[s] += 1;
-                        (seq, hook.on_exchange(s, seq))
-                    } else {
-                        (0, MsgFault::Deliver)
-                    };
-                    if let (seq, MsgFault::Drop) = fault {
-                        // The message vanishes in flight; the rotation has
-                        // already moved on, as in the thread-based variant.
-                        record_fault(&*recorder, s as u32, seq, FaultKind::ExchangeDrop);
-                        continue;
-                    }
-                    let extra_delay = match fault {
-                        (seq, MsgFault::Delay { ticks }) => {
-                            record_fault(&*recorder, s as u32, seq, FaultKind::ExchangeDelay);
-                            cluster.latency() * congestion * ticks.max(1) as f64
-                        }
-                        _ => 0.0,
-                    };
-                    recorder.counter_add(names::EXCHANGE_SENT, 1);
-                    if recorder.enabled() {
-                        recorder.event(SearchEvent::Exchange {
-                            searcher: s as u32,
-                            peer: peer as u32,
-                            direction: ExchangeDirection::Sent,
-                            objectives: entry.objectives.to_vector(),
-                        });
-                    }
-                    // Sending occupies the sender's processor too.
-                    cluster.advance(s, cluster.latency() * congestion);
-                    let arrival = cluster.send_at(s, congestion) + extra_delay;
-                    searchers[peer].inbox.push((arrival, entry));
-                }
+            (seq, MsgFault::Delay { ticks }) => {
+                record_fault(&**recorder, s as u32, seq, FaultKind::ExchangeDelay);
+                sim.cluster.latency() * congestion * ticks.max(1) as f64
             }
-        }
-
-        let makespan = cluster.makespan();
-        record_virtual_run(&*recorder, &cluster, makespan, n);
-        let mut merged = Archive::new(self.cfg.archive_capacity);
-        let mut evaluations = 0;
-        let mut iterations = 0;
-        for s in searchers {
-            evaluations += s.budget.consumed();
-            iterations += s.iterations;
-            let (archive, _, _) = s.core.finish();
-            for entry in archive {
-                merged.insert(entry);
-            }
-        }
-        TsmoOutcome {
-            archive: merged.into_items(),
-            evaluations,
-            iterations,
-            runtime_seconds: makespan,
-            trace: None,
-        }
-    }
-}
-
-/// Publishes virtual-runtime metrics for a finished simulation: the
-/// makespan and, per processor, the fraction of the makespan covered by
-/// its virtual clock (a utilization proxy — the clock stops at the
-/// processor's last activity). These are *metrics*, derived from measured
-/// work costs, so they vary run to run; the event stream does not.
-fn record_virtual_run(
-    recorder: &dyn Recorder,
-    cluster: &VirtualCluster,
-    makespan: f64,
-    processors: usize,
-) {
-    recorder.gauge_set(names::RUNTIME_SECONDS, makespan);
-    for p in 0..processors {
-        let frac = if makespan > 0.0 {
-            (cluster.clock(p) / makespan).min(1.0)
-        } else {
-            0.0
+            (_, MsgFault::Deliver) => 0.0,
         };
-        recorder.gauge_set(&names::worker_busy_fraction(p), frac);
+        let objectives = entry.objectives.to_vector();
+        exchange(&**recorder, s, peer, ExchangeDirection::Sent, objectives);
+        // Sending occupies the sender's processor too.
+        sim.cluster.advance(s, sim.cluster.latency() * congestion);
+        let arrival = sim.cluster.send_at(s, congestion) + extra_delay;
+        searchers[peer].inbox.push((arrival, entry));
     }
+
+    let makespan = sim.finish(&**recorder);
+    TsmoOutcome::merged(
+        base.archive_capacity,
+        makespan,
+        searchers.into_iter().map(|s| {
+            let evaluations = s.budget.consumed();
+            let (archive, _, iterations) = s.core.finish();
+            (archive, evaluations, iterations)
+        }),
+    )
 }
 
 /// The live searcher with the earliest virtual clock, if any.
@@ -840,8 +282,8 @@ fn next_live(searchers: &[SearcherSim], cluster: &VirtualCluster) -> Option<usiz
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::sequential::SequentialTsmo;
+    use crate::{Clock, ParallelVariant, RunOptions, TsmoConfig};
+    use std::sync::Arc;
     use vrptw::generator::{GeneratorConfig, InstanceClass};
 
     fn cfg() -> TsmoConfig {
@@ -849,6 +291,13 @@ mod tests {
             max_evaluations: 2_400,
             neighborhood_size: 60,
             ..TsmoConfig::default()
+        }
+    }
+
+    fn virtual_clock() -> RunOptions {
+        RunOptions {
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
         }
     }
 
@@ -863,8 +312,12 @@ mod tests {
         for p in [2usize, 3] {
             let mut seq_cfg = cfg().with_seed(7);
             seq_cfg.chunks = p;
-            let seq = SequentialTsmo::new(seq_cfg).run(&inst);
-            let sim = SimSyncTsmo::new(cfg().with_seed(7), p).run(&inst);
+            let seq = ParallelVariant::Sequential.run(&inst, &seq_cfg);
+            let sim = ParallelVariant::Synchronous(p).run_with(
+                &inst,
+                &cfg().with_seed(7),
+                &virtual_clock(),
+            );
             assert_eq!(
                 norm(seq.feasible_vectors()),
                 norm(sim.feasible_vectors()),
@@ -888,8 +341,8 @@ mod tests {
         };
         let mut seq_cfg = c.clone();
         seq_cfg.chunks = 4;
-        let seq = SequentialTsmo::new(seq_cfg).run(&inst);
-        let sim = SimSyncTsmo::new(c, 4).run(&inst);
+        let seq = ParallelVariant::Sequential.run(&inst, &seq_cfg);
+        let sim = ParallelVariant::Synchronous(4).run_with(&inst, &c, &virtual_clock());
         assert!(
             sim.runtime_seconds < seq.runtime_seconds,
             "virtual {:.3}s should beat sequential {:.3}s",
@@ -901,7 +354,7 @@ mod tests {
     #[test]
     fn sim_async_consumes_budget_and_produces_front() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::C2, 40, 4).build());
-        let out = SimAsyncTsmo::new(cfg(), 3).run(&inst);
+        let out = ParallelVariant::Asynchronous(3).run_with(&inst, &cfg(), &virtual_clock());
         assert_eq!(out.evaluations, 2_400);
         assert!(!out.archive.is_empty());
         assert!(out.runtime_seconds > 0.0);
@@ -922,8 +375,13 @@ mod tests {
             sim_comm_latency: 0.002,
             ..TsmoConfig::default()
         };
-        let sync = SimSyncTsmo::new(c.clone().with_seed(5), 6).run(&inst);
-        let asy = SimAsyncTsmo::new(c.with_seed(5), 6).run(&inst);
+        let sync = ParallelVariant::Synchronous(6).run_with(
+            &inst,
+            &c.clone().with_seed(5),
+            &virtual_clock(),
+        );
+        let asy =
+            ParallelVariant::Asynchronous(6).run_with(&inst, &c.with_seed(5), &virtual_clock());
         assert!(
             asy.runtime_seconds <= sync.runtime_seconds * 1.15,
             "async virtual {:.3}s should be at most ~sync virtual {:.3}s",
@@ -935,7 +393,7 @@ mod tests {
     #[test]
     fn sim_collaborative_merges_and_sums() {
         let inst = Arc::new(GeneratorConfig::new(InstanceClass::R2, 30, 5).build());
-        let out = SimCollaborativeTsmo::new(cfg(), 3).run(&inst);
+        let out = ParallelVariant::Collaborative(3).run_with(&inst, &cfg(), &virtual_clock());
         assert_eq!(out.evaluations, 3 * 2_400);
         assert!(out.archive.len() <= cfg().archive_capacity);
         assert!(!out.archive.is_empty());
@@ -951,8 +409,13 @@ mod tests {
             sim_comm_latency: 0.002,
             ..TsmoConfig::default()
         };
-        let small = SimCollaborativeTsmo::new(c.clone().with_seed(2), 2).run(&inst);
-        let large = SimCollaborativeTsmo::new(c.with_seed(2), 8).run(&inst);
+        let small = ParallelVariant::Collaborative(2).run_with(
+            &inst,
+            &c.clone().with_seed(2),
+            &virtual_clock(),
+        );
+        let large =
+            ParallelVariant::Collaborative(8).run_with(&inst, &c.with_seed(2), &virtual_clock());
         // Each searcher does the same work; more searchers add comm cost,
         // so the makespan must not shrink.
         assert!(

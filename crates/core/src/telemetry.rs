@@ -1,10 +1,64 @@
-//! Bridges between the fault/recovery layers and the telemetry layer:
-//! injected faults and supervisor recovery actions become `tsmo-obs`
-//! counters and structured events. Kept in one place so the thread-based
-//! and simulated variants publish identical shapes.
+//! Telemetry shared by the executors: worker traffic, injected faults and
+//! supervisor recovery actions become `tsmo-obs` counters and structured
+//! events. Kept in one place so the thread-based and virtual-clock
+//! executors publish identical shapes.
 
 use deme::RecoveryEvent;
-use tsmo_obs::{metrics::names, FaultKind, Recorder, SearchEvent};
+use tsmo_obs::{metrics::names, ExchangeDirection, FaultKind, Recorder, SearchEvent};
+
+/// A chunk of `count` neighbors was sent to processor `worker`.
+pub(crate) fn worker_task(recorder: &dyn Recorder, worker: usize, iteration: usize, count: usize) {
+    if recorder.enabled() {
+        recorder.event(SearchEvent::WorkerTask {
+            worker: worker as u32,
+            iteration: iteration as u64,
+            count: count as u32,
+        });
+    }
+}
+
+/// Processor `worker`'s chunk of `neighbors` reached the master.
+pub(crate) fn worker_result(
+    recorder: &dyn Recorder,
+    worker: usize,
+    iteration: usize,
+    neighbors: usize,
+) {
+    if recorder.enabled() {
+        recorder.event(SearchEvent::WorkerResult {
+            worker: worker as u32,
+            iteration: iteration as u64,
+            neighbors: neighbors as u32,
+        });
+    }
+}
+
+/// One exchange message left searcher `searcher` for `peer` (`Sent`) or
+/// reached it (`Received`: the wire format carries no sender id, so
+/// `peer` is the receiver itself).
+pub(crate) fn exchange(
+    recorder: &dyn Recorder,
+    searcher: usize,
+    peer: usize,
+    direction: ExchangeDirection,
+    objectives: [f64; 3],
+) {
+    recorder.counter_add(
+        match direction {
+            ExchangeDirection::Sent => names::EXCHANGE_SENT,
+            ExchangeDirection::Received => names::EXCHANGE_RECEIVED,
+        },
+        1,
+    );
+    if recorder.enabled() {
+        recorder.event(SearchEvent::Exchange {
+            searcher: searcher as u32,
+            peer: peer as u32,
+            direction,
+            objectives,
+        });
+    }
+}
 
 /// Publishes one injected fault: bumps `tsmo_faults_injected_total` and
 /// (when events are on) appends a `fault_injected` event.

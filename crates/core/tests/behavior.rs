@@ -2,9 +2,7 @@
 //! restarts, and tracing semantics across variants.
 
 use std::sync::Arc;
-use tsmo_core::{
-    AsyncTsmo, SequentialTsmo, SimAsyncTsmo, SimCollaborativeTsmo, SimSyncTsmo, TsmoConfig,
-};
+use tsmo_core::{Clock, ParallelVariant, RunOptions, TsmoConfig};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
 use vrptw::Instance;
 
@@ -23,16 +21,20 @@ fn cfg(evals: u64) -> TsmoConfig {
 #[test]
 fn aspiration_changes_the_search_but_keeps_it_valid() {
     let inst = inst(InstanceClass::R1, 40, 5);
-    let plain = SequentialTsmo::new(TsmoConfig {
-        aspiration: false,
-        ..cfg(3_000)
-    })
-    .run(&inst);
-    let aspire = SequentialTsmo::new(TsmoConfig {
-        aspiration: true,
-        ..cfg(3_000)
-    })
-    .run(&inst);
+    let plain = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            aspiration: false,
+            ..cfg(3_000)
+        },
+    );
+    let aspire = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            aspiration: true,
+            ..cfg(3_000)
+        },
+    );
     for e in aspire.archive.iter().chain(&plain.archive) {
         assert!(e.solution.check(&inst).is_empty());
     }
@@ -48,16 +50,20 @@ fn prefer_dominating_selection_intensifies() {
     use tsmo_core::SelectionRule;
     let inst = inst(InstanceClass::R2, 50, 14);
     let evals = 6_000;
-    let random = SequentialTsmo::new(TsmoConfig {
-        selection: SelectionRule::RandomNonDominated,
-        ..cfg(evals).with_seed(2)
-    })
-    .run(&inst);
-    let greedy = SequentialTsmo::new(TsmoConfig {
-        selection: SelectionRule::PreferDominating,
-        ..cfg(evals).with_seed(2)
-    })
-    .run(&inst);
+    let random = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            selection: SelectionRule::RandomNonDominated,
+            ..cfg(evals).with_seed(2)
+        },
+    );
+    let greedy = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            selection: SelectionRule::PreferDominating,
+            ..cfg(evals).with_seed(2)
+        },
+    );
     let (r, g) = (
         random.best_distance().expect("feasible"),
         greedy.best_distance().expect("feasible"),
@@ -74,11 +80,13 @@ fn prefer_dominating_selection_intensifies() {
 #[test]
 fn zero_tenure_still_searches() {
     let inst = inst(InstanceClass::R2, 30, 6);
-    let out = SequentialTsmo::new(TsmoConfig {
-        tabu_tenure: 0,
-        ..cfg(2_000)
-    })
-    .run(&inst);
+    let out = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            tabu_tenure: 0,
+            ..cfg(2_000)
+        },
+    );
     assert_eq!(out.evaluations, 2_000);
     assert!(!out.archive.is_empty());
 }
@@ -88,12 +96,14 @@ fn huge_tenure_forces_frequent_restarts_but_completes() {
     let inst = inst(InstanceClass::R2, 30, 6);
     // With an enormous tenure almost everything becomes tabu quickly; the
     // restart path must keep the search alive.
-    let out = SequentialTsmo::new(TsmoConfig {
-        tabu_tenure: 10_000,
-        stagnation_limit: 5,
-        ..cfg(2_000)
-    })
-    .run(&inst);
+    let out = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            tabu_tenure: 10_000,
+            stagnation_limit: 5,
+            ..cfg(2_000)
+        },
+    );
     assert_eq!(out.evaluations, 2_000);
     assert!(!out.archive.is_empty());
 }
@@ -101,11 +111,13 @@ fn huge_tenure_forces_frequent_restarts_but_completes() {
 #[test]
 fn sequential_trace_has_zero_staleness_and_full_coverage() {
     let inst = inst(InstanceClass::C2, 30, 7);
-    let out = SequentialTsmo::new(TsmoConfig {
-        trace: true,
-        ..cfg(1_200)
-    })
-    .run(&inst);
+    let out = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            trace: true,
+            ..cfg(1_200)
+        },
+    );
     let trace = out.trace.expect("tracing on");
     assert_eq!(
         trace.max_staleness(),
@@ -120,8 +132,15 @@ fn sequential_trace_has_zero_staleness_and_full_coverage() {
 #[test]
 fn async_thread_and_sim_agree_on_quality_ballpark() {
     let inst = inst(InstanceClass::R2, 40, 8);
-    let threaded = AsyncTsmo::new(cfg(4_000).with_seed(3), 3).run(&inst);
-    let simulated = SimAsyncTsmo::new(cfg(4_000).with_seed(3), 3).run(&inst);
+    let threaded = ParallelVariant::Asynchronous(3).run(&inst, &cfg(4_000).with_seed(3));
+    let simulated = ParallelVariant::Asynchronous(3).run_with(
+        &inst,
+        &cfg(4_000).with_seed(3),
+        &RunOptions {
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
     let (t, s) = (
         threaded.best_distance().expect("feasible"),
         simulated.best_distance().expect("feasible"),
@@ -138,8 +157,22 @@ fn sim_collaborative_searchers_use_distinct_parameters() {
     // be identical to a single searcher's run (the perturbation and
     // exchange change the search).
     let inst = inst(InstanceClass::R2, 35, 9);
-    let one = SimCollaborativeTsmo::new(cfg(2_000).with_seed(4), 1).run(&inst);
-    let four = SimCollaborativeTsmo::new(cfg(2_000).with_seed(4), 4).run(&inst);
+    let one = ParallelVariant::Collaborative(1).run_with(
+        &inst,
+        &cfg(2_000).with_seed(4),
+        &RunOptions {
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
+    let four = ParallelVariant::Collaborative(4).run_with(
+        &inst,
+        &cfg(2_000).with_seed(4),
+        &RunOptions {
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
     let vectors = |out: &tsmo_core::TsmoOutcome| -> Vec<[f64; 3]> {
         out.archive
             .iter()
@@ -163,11 +196,25 @@ fn virtual_speedup_is_monotone_in_processors_for_sync() {
         sim_comm_latency: 0.0002,
         ..TsmoConfig::default()
     };
-    let t2 = SimSyncTsmo::new(c.clone().with_seed(1), 2)
-        .run(&inst)
+    let t2 = ParallelVariant::Synchronous(2)
+        .run_with(
+            &inst,
+            &c.clone().with_seed(1),
+            &RunOptions {
+                clock: Clock::virtual_uniform(),
+                ..RunOptions::default()
+            },
+        )
         .runtime_seconds;
-    let t6 = SimSyncTsmo::new(c.with_seed(1), 6)
-        .run(&inst)
+    let t6 = ParallelVariant::Synchronous(6)
+        .run_with(
+            &inst,
+            &c.with_seed(1),
+            &RunOptions {
+                clock: Clock::virtual_uniform(),
+                ..RunOptions::default()
+            },
+        )
         .runtime_seconds;
     assert!(
         t6 < t2 * 1.05,
@@ -179,12 +226,14 @@ fn virtual_speedup_is_monotone_in_processors_for_sync() {
 fn budgets_below_one_neighborhood_still_terminate() {
     let inst = inst(InstanceClass::C1, 25, 11);
     for evals in [1u64, 7, 59] {
-        let out = SequentialTsmo::new(TsmoConfig {
-            max_evaluations: evals,
-            neighborhood_size: 60,
-            ..TsmoConfig::default()
-        })
-        .run(&inst);
+        let out = ParallelVariant::Sequential.run(
+            &inst,
+            &TsmoConfig {
+                max_evaluations: evals,
+                neighborhood_size: 60,
+                ..TsmoConfig::default()
+            },
+        );
         assert_eq!(out.evaluations, evals);
         assert!(
             !out.archive.is_empty(),

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use tsmo_core::{
-    CancelToken, ParallelVariant, SequentialTsmo, StopCause, SyncTsmo, TsmoConfig, TsmoOutcome,
+    CancelToken, Clock, ParallelVariant, RunOptions, StopCause, TsmoConfig, TsmoOutcome,
 };
 use tsmo_obs::{MemoryRecorder, Recorder};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
@@ -38,8 +38,14 @@ fn fronts(out: &TsmoOutcome) -> Vec<[f64; 3]> {
 fn sequential_iteration_limited_run_is_a_byte_identical_prefix() {
     let inst = inst();
     let full_rec = MemoryRecorder::shared();
-    let full =
-        SequentialTsmo::new(cfg()).run_with(&inst, Arc::clone(&full_rec) as Arc<dyn Recorder>);
+    let full = ParallelVariant::Sequential.run_with(
+        &inst,
+        &cfg(),
+        &RunOptions {
+            recorder: Arc::clone(&full_rec) as Arc<dyn Recorder>,
+            ..RunOptions::default()
+        },
+    );
     let k: usize = 10;
     assert!(
         full.iterations > k,
@@ -49,9 +55,15 @@ fn sequential_iteration_limited_run_is_a_byte_identical_prefix() {
 
     let token = CancelToken::with_iteration_limit(k as u64);
     let lim_rec = MemoryRecorder::shared();
-    let limited = SequentialTsmo::new(cfg())
-        .with_cancel_token(token.clone())
-        .run_with(&inst, Arc::clone(&lim_rec) as Arc<dyn Recorder>);
+    let limited = ParallelVariant::Sequential.run_with(
+        &inst,
+        &cfg(),
+        &RunOptions {
+            recorder: Arc::clone(&lim_rec) as Arc<dyn Recorder>,
+            cancel: token.clone(),
+            ..RunOptions::default()
+        },
+    );
 
     assert_eq!(limited.iterations, k, "stopped exactly at the limit");
     assert_eq!(token.cause(), Some(StopCause::IterationLimit));
@@ -72,15 +84,25 @@ fn sequential_iteration_limited_run_is_a_byte_identical_prefix() {
 fn truncated_front_is_independent_of_the_remaining_budget() {
     let inst = inst();
     let k: usize = 12;
-    let small = SequentialTsmo::new(cfg())
-        .with_cancel_token(CancelToken::with_iteration_limit(k as u64))
-        .run(&inst);
-    let big = SequentialTsmo::new(TsmoConfig {
-        max_evaluations: 150_000,
-        ..cfg()
-    })
-    .with_cancel_token(CancelToken::with_iteration_limit(k as u64))
-    .run(&inst);
+    let small = ParallelVariant::Sequential.run_with(
+        &inst,
+        &cfg(),
+        &RunOptions {
+            cancel: CancelToken::with_iteration_limit(k as u64),
+            ..RunOptions::default()
+        },
+    );
+    let big = ParallelVariant::Sequential.run_with(
+        &inst,
+        &TsmoConfig {
+            max_evaluations: 150_000,
+            ..cfg()
+        },
+        &RunOptions {
+            cancel: CancelToken::with_iteration_limit(k as u64),
+            ..RunOptions::default()
+        },
+    );
     assert_eq!(small.iterations, k);
     assert_eq!(big.iterations, k);
     assert_eq!(small.evaluations, big.evaluations);
@@ -97,12 +119,22 @@ fn sync_cancelled_at_k_equals_sequential_cancelled_at_k() {
     let inst = inst();
     let k: usize = 8;
     let p = 3;
-    let seq = SequentialTsmo::new(TsmoConfig { chunks: p, ..cfg() })
-        .with_cancel_token(CancelToken::with_iteration_limit(k as u64))
-        .run(&inst);
-    let sync = SyncTsmo::new(cfg(), p)
-        .with_cancel_token(CancelToken::with_iteration_limit(k as u64))
-        .run(&inst);
+    let seq = ParallelVariant::Sequential.run_with(
+        &inst,
+        &TsmoConfig { chunks: p, ..cfg() },
+        &RunOptions {
+            cancel: CancelToken::with_iteration_limit(k as u64),
+            ..RunOptions::default()
+        },
+    );
+    let sync = ParallelVariant::Synchronous(p).run_with(
+        &inst,
+        &cfg(),
+        &RunOptions {
+            cancel: CancelToken::with_iteration_limit(k as u64),
+            ..RunOptions::default()
+        },
+    );
     assert_eq!(seq.iterations, k);
     assert_eq!(sync.iterations, k);
     assert_eq!(seq.evaluations, sync.evaluations);
@@ -119,13 +151,11 @@ fn deadline_exceeded_truncates_to_a_valid_outcome() {
         ..cfg()
     };
     let token = CancelToken::with_deadline(std::time::Duration::from_millis(80));
-    let out = ParallelVariant::Sequential.run_with_cancel(
-        &inst,
-        &cfg,
-        tsmo_obs::noop(),
-        tsmo_faults::none(),
-        token.clone(),
-    );
+    let opts = RunOptions {
+        cancel: token.clone(),
+        ..RunOptions::default()
+    };
+    let out = ParallelVariant::Sequential.run_with(&inst, &cfg, &opts);
     assert_eq!(token.cause(), Some(StopCause::DeadlineExceeded));
     assert!(out.evaluations < cfg.max_evaluations);
     for entry in &out.archive {
@@ -153,20 +183,19 @@ fn explicit_cancel_stops_a_threaded_parallel_run() {
             token.cancel();
         })
     };
-    let out = ParallelVariant::Asynchronous(3).run_with_cancel(
-        &inst,
-        &cfg,
-        tsmo_obs::noop(),
-        tsmo_faults::none(),
-        token.clone(),
-    );
+    let opts = RunOptions {
+        cancel: token.clone(),
+        ..RunOptions::default()
+    };
+    let out = ParallelVariant::Asynchronous(3).run_with(&inst, &cfg, &opts);
     canceller.join().expect("canceller thread");
     assert_eq!(token.cause(), Some(StopCause::Cancelled));
     assert!(out.evaluations < cfg.max_evaluations);
 }
 
-/// `run_with_cancel` threads the token through every variant: each one
-/// stops on a small iteration limit long before the evaluation budget.
+/// `run_with` threads the token through every variant on either clock:
+/// each one stops on a small iteration limit long before the evaluation
+/// budget.
 #[test]
 fn every_variant_honors_the_iteration_limit() {
     let inst = inst();
@@ -174,28 +203,29 @@ fn every_variant_honors_the_iteration_limit() {
         max_evaluations: 10_000_000,
         ..cfg()
     };
-    for variant in [
-        ParallelVariant::Sequential,
-        ParallelVariant::Synchronous(3),
-        ParallelVariant::Asynchronous(3),
-        ParallelVariant::Collaborative(3),
-    ] {
-        let token = CancelToken::with_iteration_limit(5);
-        let out = variant.run_with_cancel(
-            &inst,
-            &cfg,
-            tsmo_obs::noop(),
-            tsmo_faults::none(),
-            token.clone(),
-        );
-        assert_eq!(
-            token.cause(),
-            Some(StopCause::IterationLimit),
-            "{variant:?} ignored the iteration limit"
-        );
-        assert!(
-            out.evaluations < cfg.max_evaluations,
-            "{variant:?} ran to budget exhaustion despite the limit"
-        );
+    for clock in [Clock::Wall, Clock::virtual_uniform()] {
+        for variant in [
+            ParallelVariant::Sequential,
+            ParallelVariant::Synchronous(3),
+            ParallelVariant::Asynchronous(3),
+            ParallelVariant::Collaborative(3),
+        ] {
+            let token = CancelToken::with_iteration_limit(5);
+            let opts = RunOptions {
+                cancel: token.clone(),
+                clock: clock.clone(),
+                ..RunOptions::default()
+            };
+            let out = variant.run_with(&inst, &cfg, &opts);
+            assert_eq!(
+                token.cause(),
+                Some(StopCause::IterationLimit),
+                "{variant:?} on {clock:?} ignored the iteration limit"
+            );
+            assert!(
+                out.evaluations < cfg.max_evaluations,
+                "{variant:?} on {clock:?} ran to budget exhaustion despite the limit"
+            );
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! reproducible recovery trace.
 
 use std::sync::Arc;
-use tsmo_core::{AsyncTsmo, SimAsyncTsmo, SimCollaborativeTsmo, TsmoConfig};
+use tsmo_core::{Clock, HybridTsmo, ParallelVariant, RunOptions, TsmoConfig};
 use tsmo_faults::{FaultConfig, FaultPlan};
 use tsmo_obs::{metrics::names, MemoryRecorder};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
@@ -36,12 +36,27 @@ fn zero_fault_plan_event_stream_is_byte_identical() {
     assert!(zero.config().is_zero(), "default rates must all be zero");
 
     let bare_rec = MemoryRecorder::shared();
-    let bare = SimAsyncTsmo::new(cfg().with_seed(11), 3).run_with(&inst, bare_rec.clone());
+    let bare = ParallelVariant::Asynchronous(3).run_with(
+        &inst,
+        &cfg().with_seed(11),
+        &RunOptions {
+            recorder: bare_rec.clone(),
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
 
     let planned_rec = MemoryRecorder::shared();
-    let planned = SimAsyncTsmo::new(cfg().with_seed(11), 3)
-        .with_fault_hook(zero.clone())
-        .run_with(&inst, planned_rec.clone());
+    let planned = ParallelVariant::Asynchronous(3).run_with(
+        &inst,
+        &cfg().with_seed(11),
+        &RunOptions {
+            recorder: planned_rec.clone(),
+            faults: zero.clone(),
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
 
     assert_eq!(
         bare_rec.events_jsonl(),
@@ -62,9 +77,16 @@ fn sim_chaos_run_is_byte_reproducible_and_recovers() {
     let run = |_: usize| {
         let rec = MemoryRecorder::shared();
         let plan = FaultPlan::shared(FaultConfig::uniform(7, 0.25));
-        let out = SimAsyncTsmo::new(cfg().with_seed(3), 4)
-            .with_fault_hook(plan)
-            .run_with(&inst, rec.clone());
+        let out = ParallelVariant::Asynchronous(4).run_with(
+            &inst,
+            &cfg().with_seed(3),
+            &RunOptions {
+                recorder: rec.clone(),
+                faults: plan,
+                clock: Clock::virtual_uniform(),
+                ..RunOptions::default()
+            },
+        );
         (rec, out)
     };
     let (rec_a, out_a) = run(0);
@@ -103,9 +125,16 @@ fn sim_collaborative_survives_exchange_faults_reproducibly() {
             exchange_delay_rate: 0.3,
             ..FaultConfig::default()
         });
-        let out = SimCollaborativeTsmo::new(c.clone(), 3)
-            .with_fault_hook(plan.clone())
-            .run_with(&inst, rec.clone());
+        let out = ParallelVariant::Collaborative(3).run_with(
+            &inst,
+            &c.clone(),
+            &RunOptions {
+                recorder: rec.clone(),
+                faults: plan.clone(),
+                clock: Clock::virtual_uniform(),
+                ..RunOptions::default()
+            },
+        );
         (rec, plan, out)
     };
     let (rec_a, plan_a, out_a) = run(0);
@@ -132,9 +161,15 @@ fn threaded_async_chaos_run_completes_with_valid_front() {
     .with_seed(7);
     let rec = MemoryRecorder::shared();
     let plan = FaultPlan::shared(FaultConfig::uniform(7, 0.2));
-    let out = AsyncTsmo::new(c, 4)
-        .with_fault_hook(plan.clone())
-        .run_with(&inst, rec.clone());
+    let out = ParallelVariant::Asynchronous(4).run_with(
+        &inst,
+        &c,
+        &RunOptions {
+            recorder: rec.clone(),
+            faults: plan.clone(),
+            ..RunOptions::default()
+        },
+    );
 
     assert_eq!(out.evaluations, 4_000, "budget must be fully consumed");
     assert!(!out.archive.is_empty(), "chaos must not empty the front");
@@ -166,4 +201,24 @@ fn threaded_async_chaos_run_completes_with_valid_front() {
         metrics.counter(names::TASKS_RESENT) > 0,
         "the supervisor must have resent panicked tasks"
     );
+
+    // The hybrid's searchers run their workers under the same supervisor,
+    // so panicking tasks are resent and every searcher spends its budget.
+    let plan = FaultPlan::shared(FaultConfig {
+        seed: 7,
+        task_panic_rate: 0.2,
+        ..FaultConfig::default()
+    });
+    let opts = RunOptions {
+        faults: plan.clone(),
+        ..RunOptions::default()
+    };
+    let out = HybridTsmo::new(c, 2, 3).run(&inst, &opts);
+    assert_eq!(
+        out.evaluations,
+        2 * 4_000,
+        "hybrid budget must be fully consumed"
+    );
+    assert!(plan.stats().task_panics > 0, "the plan must inject panics");
+    assert!(!out.archive.is_empty());
 }

@@ -3,14 +3,12 @@
 //! for a fixed seed.
 
 use std::sync::Arc;
-use tsmo_core::{
-    ParallelVariant, RunOptions, SequentialTsmo, SimAsyncTsmo, SimCollaborativeTsmo, TsmoConfig,
-    TsmoOutcome,
-};
+use tsmo_core::{Clock, HybridTsmo, ParallelVariant, RunOptions, TsmoConfig, TsmoOutcome};
 use tsmo_obs::metrics::names;
 use tsmo_obs::{parse_events_jsonl, MemoryRecorder, Recorder, SearchEvent};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
 use vrptw::Instance;
+use vrptw_operators::OperatorKind;
 
 fn inst() -> Arc<Instance> {
     Arc::new(GeneratorConfig::new(InstanceClass::R1, 30, 7).build())
@@ -22,7 +20,7 @@ fn cfg() -> TsmoConfig {
         neighborhood_size: 60,
         stagnation_limit: 20,
         // A fixed virtual evaluation cost makes the simulated schedules —
-        // and therefore the Sim* event streams — reproducible.
+        // and therefore the virtual-clock event streams — reproducible.
         sim_eval_cost: Some(0.01),
         ..TsmoConfig::default()
     }
@@ -38,10 +36,16 @@ fn fronts(out: &TsmoOutcome) -> Vec<[f64; 3]> {
 #[test]
 fn noop_and_recording_runs_are_identical_sequential() {
     let inst = inst();
-    let plain = SequentialTsmo::new(cfg()).run(&inst);
+    let plain = ParallelVariant::Sequential.run(&inst, &cfg());
     let recorder = MemoryRecorder::shared();
-    let recorded =
-        SequentialTsmo::new(cfg()).run_with(&inst, Arc::clone(&recorder) as Arc<dyn Recorder>);
+    let recorded = ParallelVariant::Sequential.run_with(
+        &inst,
+        &cfg(),
+        &RunOptions {
+            recorder: Arc::clone(&recorder) as Arc<dyn Recorder>,
+            ..RunOptions::default()
+        },
+    );
     assert_eq!(plain.evaluations, recorded.evaluations);
     assert_eq!(plain.iterations, recorded.iterations);
     assert_eq!(fronts(&plain), fronts(&recorded));
@@ -61,10 +65,17 @@ fn noop_and_recording_runs_are_identical_for_every_sim_variant() {
         ParallelVariant::Asynchronous(3),
         ParallelVariant::Collaborative(3),
     ] {
-        let plain = variant.run_simulated(&inst, &cfg());
+        let virtual_clock = RunOptions {
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        };
+        let plain = variant.run_with(&inst, &cfg(), &virtual_clock);
         let recorder = MemoryRecorder::shared();
-        let recorded =
-            variant.run_simulated_with(&inst, &cfg(), Arc::clone(&recorder) as Arc<dyn Recorder>);
+        let recording = RunOptions {
+            recorder: Arc::clone(&recorder) as Arc<dyn Recorder>,
+            ..virtual_clock
+        };
+        let recorded = variant.run_with(&inst, &cfg(), &recording);
         assert_eq!(plain.evaluations, recorded.evaluations, "{variant:?}");
         assert_eq!(plain.iterations, recorded.iterations, "{variant:?}");
         assert_eq!(fronts(&plain), fronts(&recorded), "{variant:?}");
@@ -73,17 +84,41 @@ fn noop_and_recording_runs_are_identical_for_every_sim_variant() {
 }
 
 /// The determinism proof: with a fixed seed and a fixed virtual evaluation
-/// cost, two recorded `SimAsyncTsmo` runs produce byte-identical JSONL
-/// event streams, and the same front as an unrecorded run. (The threaded
+/// cost, two recorded virtual-clock asynchronous runs produce
+/// byte-identical JSONL event streams, and the same front as an unrecorded
+/// run. (The threaded
 /// async variant interleaves events by wall-clock timing, so the proof
 /// uses the virtual-time simulation, which is the same algorithm.)
 #[test]
 fn sim_async_event_stream_is_byte_identical_across_runs() {
     let inst = inst();
-    let noop_run = SimAsyncTsmo::new(cfg(), 3).run(&inst);
+    let noop_run = ParallelVariant::Asynchronous(3).run_with(
+        &inst,
+        &cfg(),
+        &RunOptions {
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
     let (r1, r2) = (MemoryRecorder::shared(), MemoryRecorder::shared());
-    let rec1 = SimAsyncTsmo::new(cfg(), 3).run_with(&inst, Arc::clone(&r1) as Arc<dyn Recorder>);
-    let rec2 = SimAsyncTsmo::new(cfg(), 3).run_with(&inst, Arc::clone(&r2) as Arc<dyn Recorder>);
+    let rec1 = ParallelVariant::Asynchronous(3).run_with(
+        &inst,
+        &cfg(),
+        &RunOptions {
+            recorder: Arc::clone(&r1) as Arc<dyn Recorder>,
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
+    let rec2 = ParallelVariant::Asynchronous(3).run_with(
+        &inst,
+        &cfg(),
+        &RunOptions {
+            recorder: Arc::clone(&r2) as Arc<dyn Recorder>,
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
 
     assert_eq!(
         fronts(&noop_run),
@@ -113,8 +148,24 @@ fn span_and_timeline_streams_are_byte_identical_across_runs() {
         Arc::new(MemoryRecorder::new().with_span_events()),
         Arc::new(MemoryRecorder::new().with_span_events()),
     );
-    SimAsyncTsmo::new(traced_cfg(), 3).run_with(&inst, Arc::clone(&r1) as Arc<dyn Recorder>);
-    SimAsyncTsmo::new(traced_cfg(), 3).run_with(&inst, Arc::clone(&r2) as Arc<dyn Recorder>);
+    ParallelVariant::Asynchronous(3).run_with(
+        &inst,
+        &traced_cfg(),
+        &RunOptions {
+            recorder: Arc::clone(&r1) as Arc<dyn Recorder>,
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
+    ParallelVariant::Asynchronous(3).run_with(
+        &inst,
+        &traced_cfg(),
+        &RunOptions {
+            recorder: Arc::clone(&r2) as Arc<dyn Recorder>,
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
     let (jsonl1, jsonl2) = (r1.events_jsonl(), r2.events_jsonl());
     assert!(!jsonl1.is_empty());
     assert_eq!(
@@ -156,7 +207,14 @@ fn span_and_timeline_streams_are_byte_identical_across_runs() {
 fn default_stream_has_no_span_events_but_the_profile_still_folds() {
     let inst = inst();
     let recorder = MemoryRecorder::shared();
-    SequentialTsmo::new(cfg()).run_with(&inst, Arc::clone(&recorder) as Arc<dyn Recorder>);
+    ParallelVariant::Sequential.run_with(
+        &inst,
+        &cfg(),
+        &RunOptions {
+            recorder: Arc::clone(&recorder) as Arc<dyn Recorder>,
+            ..RunOptions::default()
+        },
+    );
     assert!(
         !recorder.events().iter().any(|e| matches!(
             e.event,
@@ -194,7 +252,15 @@ fn default_stream_has_no_span_events_but_the_profile_still_folds() {
 fn recorded_events_round_trip_through_jsonl() {
     let inst = inst();
     let recorder = MemoryRecorder::shared();
-    SimAsyncTsmo::new(cfg(), 3).run_with(&inst, Arc::clone(&recorder) as Arc<dyn Recorder>);
+    ParallelVariant::Asynchronous(3).run_with(
+        &inst,
+        &cfg(),
+        &RunOptions {
+            recorder: Arc::clone(&recorder) as Arc<dyn Recorder>,
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
     let parsed = parse_events_jsonl(&recorder.events_jsonl()).expect("stream parses back");
     assert_eq!(parsed, recorder.events());
     // The stream covers the event families the async runtime emits.
@@ -216,7 +282,15 @@ fn collaborative_sim_records_exchange_traffic() {
         sim_eval_cost: Some(0.01),
         ..TsmoConfig::default()
     };
-    SimCollaborativeTsmo::new(cfg, 3).run_with(&inst, Arc::clone(&recorder) as Arc<dyn Recorder>);
+    ParallelVariant::Collaborative(3).run_with(
+        &inst,
+        &cfg,
+        &RunOptions {
+            recorder: Arc::clone(&recorder) as Arc<dyn Recorder>,
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
     let metrics = recorder.metrics();
     let sent = metrics.counter(names::EXCHANGE_SENT);
     let received = metrics.counter(names::EXCHANGE_RECEIVED);
@@ -262,6 +336,24 @@ fn threaded_variants_accept_a_recorder_and_count_evaluations() {
         assert!(
             prom.contains("tsmo_worker_busy_fraction"),
             "{variant:?} reported no utilization"
+        );
+    }
+    // The hybrid's searchers run the same Algorithm-2 loop, so they count
+    // their evaluations and attribute their proposals per operator too.
+    let recorder = MemoryRecorder::shared();
+    let opts = RunOptions {
+        recorder: Arc::clone(&recorder) as Arc<dyn Recorder>,
+        ..RunOptions::default()
+    };
+    let out = HybridTsmo::new(base, 2, 2).run(&inst, &opts);
+    let metrics = recorder.metrics();
+    assert_eq!(metrics.counter(names::EVALUATIONS), out.evaluations);
+    for op in OperatorKind::ALL {
+        let proposed = names::operator_counter(names::OPERATOR_PROPOSED, op.label());
+        assert!(
+            metrics.counter(&proposed) > 0,
+            "the hybrid attributed no proposals to {}",
+            op.label()
         );
     }
 }

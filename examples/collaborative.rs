@@ -28,7 +28,7 @@ fn main() {
         inst.n_customers()
     );
 
-    let seq = SequentialTsmo::new(cfg.clone()).run(&inst);
+    let seq = ParallelVariant::Sequential.run(&inst, &cfg);
     println!(
         "sequential: {:>6.2}s, front of {} ({} feasible)",
         seq.runtime_seconds,
@@ -36,7 +36,7 @@ fn main() {
         seq.feasible_front().len()
     );
 
-    let coll = CollaborativeTsmo::new(cfg, searchers).run(&inst);
+    let coll = ParallelVariant::Collaborative(searchers).run(&inst, &cfg);
     println!(
         "collaborative ({searchers} searchers): {:>6.2}s, front of {} ({} feasible), {} total evaluations",
         coll.runtime_seconds,

@@ -50,7 +50,7 @@ fn main() {
         seed: 9,
         ..TsmoConfig::default()
     };
-    let out = SequentialTsmo::new(cfg).run(&inst);
+    let out = ParallelVariant::Sequential.run(&inst, &cfg);
     println!(
         "\nsolved in {:.2}s — {} non-dominated solutions, best distance {:?}, fewest vehicles {:?}",
         out.runtime_seconds,

@@ -10,7 +10,6 @@
 use std::sync::Arc;
 use tsmo_suite::prelude::*;
 use tsmo_suite::runstats::speedup_percent;
-use tsmo_suite::tsmo_core::{SimAsyncTsmo, SimCollaborativeTsmo, SimSyncTsmo};
 
 fn main() {
     let inst = Arc::new(GeneratorConfig::new(InstanceClass::C1, 120, 3).build());
@@ -26,16 +25,20 @@ fn main() {
         cfg.sim_comm_latency * 1e3
     );
 
-    let seq = SequentialTsmo::new(cfg.clone()).run(&inst);
+    let seq = ParallelVariant::Sequential.run(&inst, &cfg);
+    let virtual_clock = RunOptions {
+        clock: Clock::virtual_uniform(),
+        ..RunOptions::default()
+    };
     println!("sequential wall time: {:.2}s\n", seq.runtime_seconds);
     println!(
         "{:>6} {:>14} {:>14} {:>14}",
         "procs", "sync makespan", "async makespan", "coll makespan"
     );
     for p in [2usize, 3, 6, 12] {
-        let sync = SimSyncTsmo::new(cfg.clone(), p).run(&inst);
-        let asy = SimAsyncTsmo::new(cfg.clone(), p).run(&inst);
-        let coll = SimCollaborativeTsmo::new(cfg.clone(), p).run(&inst);
+        let sync = ParallelVariant::Synchronous(p).run_with(&inst, &cfg, &virtual_clock);
+        let asy = ParallelVariant::Asynchronous(p).run_with(&inst, &cfg, &virtual_clock);
+        let coll = ParallelVariant::Collaborative(p).run_with(&inst, &cfg, &virtual_clock);
         println!(
             "{:>6} {:>9.2}s {:>+.0}% {:>8.2}s {:>+.0}% {:>8.2}s {:>+.0}%",
             p,

@@ -26,8 +26,8 @@ fn generated_instance_survives_solomon_round_trip_and_solves() {
     };
     // Same seed + same instance data => identical fronts even through the
     // serialization round trip.
-    let a = SequentialTsmo::new(cfg.clone().with_seed(4)).run(&inst);
-    let b = SequentialTsmo::new(cfg.with_seed(4)).run(&reloaded);
+    let a = ParallelVariant::Sequential.run(&inst, &cfg.clone().with_seed(4));
+    let b = ParallelVariant::Sequential.run(&reloaded, &cfg.with_seed(4));
     assert_eq!(a.feasible_vectors(), b.feasible_vectors());
 }
 
@@ -89,8 +89,8 @@ fn coverage_metric_is_sane_between_real_runs() {
         neighborhood_size: 50,
         ..TsmoConfig::default()
     };
-    let a = SequentialTsmo::new(cfg.clone().with_seed(1)).run(&inst);
-    let b = SequentialTsmo::new(cfg.with_seed(2)).run(&inst);
+    let a = ParallelVariant::Sequential.run(&inst, &cfg.clone().with_seed(1));
+    let b = ParallelVariant::Sequential.run(&inst, &cfg.with_seed(2));
     let (fa, fb) = (a.feasible_vectors(), b.feasible_vectors());
     assert!(!fa.is_empty() && !fb.is_empty());
     let cab = coverage(&fa, &fb);
@@ -104,20 +104,24 @@ fn coverage_metric_is_sane_between_real_runs() {
 #[test]
 fn longer_budgets_do_not_produce_worse_fronts() {
     let inst = instance();
-    let short = SequentialTsmo::new(TsmoConfig {
-        max_evaluations: 500,
-        neighborhood_size: 50,
-        seed: 6,
-        ..TsmoConfig::default()
-    })
-    .run(&inst);
-    let long = SequentialTsmo::new(TsmoConfig {
-        max_evaluations: 8_000,
-        neighborhood_size: 50,
-        seed: 6,
-        ..TsmoConfig::default()
-    })
-    .run(&inst);
+    let short = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            max_evaluations: 500,
+            neighborhood_size: 50,
+            seed: 6,
+            ..TsmoConfig::default()
+        },
+    );
+    let long = ParallelVariant::Sequential.run(
+        &inst,
+        &TsmoConfig {
+            max_evaluations: 8_000,
+            neighborhood_size: 50,
+            seed: 6,
+            ..TsmoConfig::default()
+        },
+    );
     let (s, l) = (
         short.best_distance().expect("feasible"),
         long.best_distance().expect("feasible"),
