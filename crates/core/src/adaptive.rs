@@ -198,7 +198,7 @@ fn improve(
         let mut chosen_value = f64::INFINITY;
         for (i, nb) in pool.iter().enumerate() {
             let value = scalarize(nb.objectives);
-            let admissible = !tabu.is_tabu(&nb.arcs_created) || value < best_value;
+            let admissible = !tabu.is_tabu(nb.arcs_created()) || value < best_value;
             if admissible && value < chosen_value {
                 chosen = Some(i);
                 chosen_value = value;
@@ -206,11 +206,12 @@ fn improve(
         }
         if let Some(i) = chosen {
             let nb = &pool[i];
-            tabu.push(nb.arcs_removed.clone());
-            current = EvaluatedSolution::new(nb.solution.clone(), inst);
+            tabu.push(nb.arcs_removed().collect());
+            let solution = nb.solution();
+            current = EvaluatedSolution::new(solution.clone(), inst);
             if chosen_value < best_value {
                 best_value = chosen_value;
-                best = nb.solution.clone();
+                best = solution;
                 best_obj = nb.objectives;
             }
         }

@@ -293,7 +293,7 @@ impl SearchCore {
         let tabu_span = Span::enter(&self.recorder, "tabu", self.trace_id, span_parent);
         let mut admissible: Vec<usize> = Vec::with_capacity(pool.len());
         for (i, nb) in pool.iter().enumerate() {
-            let tabu = self.tabu.is_tabu(&nb.arcs_created);
+            let tabu = self.tabu.is_tabu(nb.arcs_created());
             let aspired = tabu
                 && self.cfg.aspiration
                 && self.archive.would_accept(&nb.objectives.to_vector());
@@ -301,9 +301,9 @@ impl SearchCore {
                 self.recorder.counter_add(names::TABU_HITS, 1);
                 if aspired {
                     self.recorder.counter_add(names::ASPIRATIONS, 1);
-                    self.outcomes.aspiration[nb.operator.index()] += 1;
+                    self.outcomes.aspiration[nb.operator().index()] += 1;
                 } else {
-                    self.outcomes.tabu_rejected[nb.operator.index()] += 1;
+                    self.outcomes.tabu_rejected[nb.operator().index()] += 1;
                 }
                 if self.recorder.enabled() {
                     self.recorder.event(SearchEvent::TabuHit {
@@ -370,11 +370,14 @@ impl SearchCore {
 
         // Memory update: every neighbor is offered to M_nondom ("additional
         // non-dominated solutions that were found in the neighborhood N").
+        // An insert that `would_accept` refuses changes nothing, so only
+        // the neighbors it admits are materialized.
         let archive_span = Span::enter(&self.recorder, "archive", self.trace_id, span_parent);
         for nb in &pool {
-            if self
-                .nondom
-                .insert(FrontEntry::new(nb.solution.clone(), nb.objectives))
+            if self.nondom.would_accept(&nb.objectives.to_vector())
+                && self
+                    .nondom
+                    .insert(FrontEntry::new(nb.solution(), nb.objectives))
             {
                 self.recorder.counter_add(names::NONDOM_INSERTS, 1);
             }
@@ -388,17 +391,18 @@ impl SearchCore {
         match chosen_idx {
             Some(i) => {
                 let nb = &pool[i];
-                self.tabu.push(nb.arcs_removed.clone());
-                self.current = EvaluatedSolution::new(nb.solution.clone(), &self.inst);
+                self.tabu.push(nb.arcs_removed().collect());
+                let solution = nb.solution();
+                self.current = EvaluatedSolution::new(solution.clone(), &self.inst);
                 report.selected = Some(nb.objectives);
-                self.outcomes.accepted[nb.operator.index()] += 1;
-                let entry = FrontEntry::new(nb.solution.clone(), nb.objectives);
+                self.outcomes.accepted[nb.operator().index()] += 1;
+                let entry = FrontEntry::new(solution, nb.objectives);
                 let size_before = self.archive.len();
                 if self.archive.insert(entry.clone()) {
                     // An accepted insert that shrank (or held) the archive
                     // displaced dominated entries.
                     self.archive_prunes += (size_before + 1 - self.archive.len()) as u64;
-                    self.outcomes.improving[nb.operator.index()] += 1;
+                    self.outcomes.improving[nb.operator().index()] += 1;
                     self.recorder.counter_add(names::ARCHIVE_INSERTS, 1);
                     if self.recorder.enabled() {
                         self.recorder.event(SearchEvent::ArchiveInsert {

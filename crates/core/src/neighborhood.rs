@@ -10,32 +10,60 @@
 //! unchanged.
 
 use detrand::Xoshiro256StarStar;
-use vrptw::solution::EvaluatedSolution;
+use std::sync::Arc as Shared;
+use vrptw::solution::{EvaluatedSolution, RoutePatch};
 use vrptw::{Instance, Objectives, Solution};
-use vrptw_operators::{sample_move_tallied, Arc, OperatorKind, SampleParams, SampleTally};
+use vrptw_operators::{sample_move_tallied, Arc, Move, OperatorKind, SampleParams, SampleTally};
 
-/// One evaluated neighbor, self-contained (independent of the snapshot it
-/// was generated from) so the asynchronous variant can keep it across
+/// One evaluated neighbor, self-contained (independent of the current
+/// solution of the search) so the asynchronous variant can keep it across
 /// iterations.
+///
+/// A neighbor is lazy: it holds its move's route patch and a shared handle
+/// on the snapshot it was generated from (one per chunk), and builds the
+/// neighboring solution only when [`solution`](Self::solution) is called —
+/// in practice only for neighbors that can enter `M_nondom` and for the
+/// selected one.
 #[derive(Debug, Clone)]
 pub struct Neighbor {
-    /// The materialized neighboring solution.
-    pub solution: Solution,
     /// Its three objectives.
     pub objectives: Objectives,
-    /// Arcs the generating move created (tabu check).
-    pub arcs_created: Vec<Arc>,
-    /// Arcs the generating move removed (pushed on the tabu list when the
-    /// neighbor is selected).
-    pub arcs_removed: Vec<Arc>,
-    /// Operator family of the generating move (per-operator attribution
-    /// in the step loop: accepted / improving / tabu-rejected /
-    /// aspiration counters).
-    pub operator: OperatorKind,
     /// Iteration whose current solution spawned this neighbor (Fig. 1's
     /// iteration tags; in the asynchronous variant a neighbor can be
     /// considered in a later iteration than it was created in).
     pub created_iteration: usize,
+    /// The generating move, expressed against `snapshot`.
+    mv: Move,
+    /// The move's route patch against `snapshot`.
+    patch: RoutePatch,
+    /// The solution the neighbor's chunk was generated from, shared by
+    /// every neighbor of that chunk.
+    snapshot: Shared<Solution>,
+}
+
+impl Neighbor {
+    /// Operator family of the generating move (per-operator attribution
+    /// in the step loop: accepted / improving / tabu-rejected /
+    /// aspiration counters).
+    pub fn operator(&self) -> OperatorKind {
+        self.mv.kind()
+    }
+
+    /// Materializes the neighboring solution.
+    pub fn solution(&self) -> Solution {
+        self.snapshot.patched(&self.patch)
+    }
+
+    /// Arcs the generating move created (tabu check).
+    pub fn arcs_created(&self) -> impl Iterator<Item = Arc> + '_ {
+        self.mv.arcs(&self.snapshot).created()
+    }
+
+    /// Arcs the generating move removed (pushed on the tabu list when the
+    /// neighbor is selected).
+    pub fn arcs_removed(&self) -> impl Iterator<Item = Arc> + '_ {
+        self.mv.arcs(&self.snapshot).removed()
+    }
 }
 
 /// A generated chunk: the neighbors plus the per-operator sampling tally
@@ -96,16 +124,19 @@ pub fn generate_chunk_tallied(
     let mut tally = SampleTally::default();
     let max_attempts = count.saturating_mul(60).max(64);
     let mut attempts = 0;
+    // Copied once, on the chunk's first success, and shared by all of its
+    // neighbors.
+    let mut shared: Option<Shared<Solution>> = None;
     while out.len() < count && attempts < max_attempts {
         attempts += 1;
         if let Some(c) = sample_move_tallied(&mut rng, inst, snapshot, params, &mut tally) {
+            let shared = shared.get_or_insert_with(|| Shared::new(snapshot.solution().clone()));
             out.push(Neighbor {
-                solution: snapshot.solution().patched(&c.patch),
                 objectives: c.preview.objectives,
-                arcs_created: c.mv.arcs_created(snapshot),
-                arcs_removed: c.mv.arcs_removed(snapshot),
-                operator: c.mv.kind(),
                 created_iteration,
+                mv: c.mv,
+                patch: c.patch,
+                snapshot: Shared::clone(shared),
             });
         }
     }
@@ -136,12 +167,12 @@ mod tests {
         let b = generate_chunk(&inst, &ev, 42, 30, SampleParams::default(), 0);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.solution, y.solution);
-            assert_eq!(x.arcs_created, y.arcs_created);
+            assert_eq!(x.solution(), y.solution());
+            assert!(x.arcs_created().eq(y.arcs_created()));
         }
         let c = generate_chunk(&inst, &ev, 43, 30, SampleParams::default(), 0);
         let all_same =
-            a.len() == c.len() && a.iter().zip(&c).all(|(x, y)| x.solution == y.solution);
+            a.len() == c.len() && a.iter().zip(&c).all(|(x, y)| x.solution() == y.solution());
         assert!(!all_same, "different seeds should differ");
     }
 
@@ -156,8 +187,8 @@ mod tests {
     fn neighbors_are_valid_and_correctly_evaluated() {
         let (inst, ev) = setup();
         for nb in generate_chunk(&inst, &ev, 7, 40, SampleParams::default(), 3) {
-            assert!(nb.solution.check(&inst).is_empty());
-            let full = nb.solution.evaluate(&inst);
+            assert!(nb.solution().check(&inst).is_empty());
+            let full = nb.solution().evaluate(&inst);
             assert!((nb.objectives.distance - full.distance).abs() < 1e-6);
             assert_eq!(nb.objectives.vehicles, full.vehicles);
             assert!((nb.objectives.tardiness - full.tardiness).abs() < 1e-6);
@@ -172,13 +203,13 @@ mod tests {
         let chunk = generate_chunk_tallied(&inst, &ev, 42, 30, SampleParams::default(), 0);
         assert_eq!(plain.len(), chunk.neighbors.len());
         for (a, b) in plain.iter().zip(&chunk.neighbors) {
-            assert_eq!(a.solution, b.solution);
-            assert_eq!(a.operator, b.operator);
+            assert_eq!(a.solution(), b.solution());
+            assert_eq!(a.operator(), b.operator());
         }
         // Every neighbor came from a feasible draw of its operator.
         let mut per_op = [0u64; 5];
         for nb in &chunk.neighbors {
-            per_op[nb.operator.index()] += 1;
+            per_op[nb.operator().index()] += 1;
         }
         assert_eq!(chunk.tally.feasible, per_op);
         assert!(chunk.tally.total_proposed() >= chunk.neighbors.len() as u64);

@@ -100,7 +100,7 @@ impl WeightedSumTs {
             let mut chosen_value = f64::INFINITY;
             for nb in &pool {
                 let value = scalar(&self.weights, nb.objectives);
-                let tabu_hit = tabu.is_tabu(&nb.arcs_created);
+                let tabu_hit = tabu.is_tabu(nb.arcs_created());
                 let admissible = !tabu_hit || value < best_value;
                 if admissible && value < chosen_value {
                     chosen = Some(nb);
@@ -109,11 +109,12 @@ impl WeightedSumTs {
             }
             match chosen {
                 Some(nb) => {
-                    tabu.push(nb.arcs_removed.clone());
-                    current = EvaluatedSolution::new(nb.solution.clone(), inst);
+                    tabu.push(nb.arcs_removed().collect());
+                    let solution = nb.solution();
+                    current = EvaluatedSolution::new(solution.clone(), inst);
                     if chosen_value < best_value {
                         best_value = chosen_value;
-                        best = FrontEntry::new(nb.solution.clone(), nb.objectives);
+                        best = FrontEntry::new(solution, nb.objectives);
                         stagnation = 0;
                     } else {
                         stagnation += 1;

@@ -75,8 +75,10 @@ impl TabuList {
     }
 
     /// Whether a move creating these arcs is forbidden.
-    pub fn is_tabu(&self, created_arcs: &[Arc]) -> bool {
-        created_arcs.iter().any(|arc| self.counts.contains_key(arc))
+    pub fn is_tabu(&self, created_arcs: impl IntoIterator<Item = Arc>) -> bool {
+        created_arcs
+            .into_iter()
+            .any(|arc| self.counts.contains_key(&arc))
     }
 }
 
@@ -88,17 +90,17 @@ mod tests {
     fn recent_arcs_are_tabu_until_they_age_out() {
         let mut t = TabuList::new(2);
         t.push(vec![(1, 2), (3, 4)]);
-        assert!(t.is_tabu(&[(1, 2)]));
-        assert!(t.is_tabu(&[(9, 9), (3, 4)]));
-        assert!(!t.is_tabu(&[(2, 1)]));
+        assert!(t.is_tabu([(1, 2)]));
+        assert!(t.is_tabu([(9, 9), (3, 4)]));
+        assert!(!t.is_tabu([(2, 1)]));
         t.push(vec![(5, 6)]);
-        assert!(t.is_tabu(&[(1, 2)]));
+        assert!(t.is_tabu([(1, 2)]));
         // Third push evicts the first move's arcs.
         t.push(vec![(7, 8)]);
-        assert!(!t.is_tabu(&[(1, 2)]));
-        assert!(!t.is_tabu(&[(3, 4)]));
-        assert!(t.is_tabu(&[(5, 6)]));
-        assert!(t.is_tabu(&[(7, 8)]));
+        assert!(!t.is_tabu([(1, 2)]));
+        assert!(!t.is_tabu([(3, 4)]));
+        assert!(t.is_tabu([(5, 6)]));
+        assert!(t.is_tabu([(7, 8)]));
         assert_eq!(t.len(), 2);
     }
 
@@ -110,9 +112,9 @@ mod tests {
         t.push(vec![(0, 0)]);
         // Aging out one (1,2) must keep the other active.
         t.push(vec![(9, 9)]); // evicts first (1,2)
-        assert!(t.is_tabu(&[(1, 2)]));
+        assert!(t.is_tabu([(1, 2)]));
         t.push(vec![(8, 8)]); // evicts second (1,2)
-        assert!(!t.is_tabu(&[(1, 2)]));
+        assert!(!t.is_tabu([(1, 2)]));
     }
 
     #[test]
@@ -120,8 +122,8 @@ mod tests {
         let mut t = TabuList::new(2);
         t.push(vec![]);
         assert_eq!(t.len(), 1);
-        assert!(!t.is_tabu(&[]));
-        assert!(!t.is_tabu(&[(1, 1)]));
+        assert!(!t.is_tabu(std::iter::empty()));
+        assert!(!t.is_tabu([(1, 1)]));
     }
 
     #[test]
@@ -129,14 +131,14 @@ mod tests {
         let mut t = TabuList::new(0);
         t.push(vec![(1, 2)]);
         assert!(t.is_empty());
-        assert!(!t.is_tabu(&[(1, 2)]));
+        assert!(!t.is_tabu([(1, 2)]));
     }
 
     #[test]
     fn empty_candidate_is_never_tabu() {
         let mut t = TabuList::new(2);
         t.push(vec![(1, 2)]);
-        assert!(!t.is_tabu(&[]));
+        assert!(!t.is_tabu(std::iter::empty()));
     }
 
     #[test]
@@ -147,8 +149,8 @@ mod tests {
             assert!(t.len() <= 5);
         }
         // Only the last 5 remain tabu.
-        assert!(t.is_tabu(&[(99, 100)]));
-        assert!(t.is_tabu(&[(95, 96)]));
-        assert!(!t.is_tabu(&[(94, 95)]));
+        assert!(t.is_tabu([(99, 100)]));
+        assert!(t.is_tabu([(95, 96)]));
+        assert!(!t.is_tabu([(94, 95)]));
     }
 }

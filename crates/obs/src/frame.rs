@@ -13,7 +13,11 @@ use std::io::{self, Read, Write};
 /// few kilobytes; anything near this limit is a protocol error, not data.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) with a single `write_all`.
+///
+/// Writing the prefix and the payload separately lets a payload larger
+/// than the caller's `BufWriter` go out as a second TCP segment, which
+/// Nagle's algorithm holds until the peer's delayed ACK (~40 ms).
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() as u64 > MAX_FRAME_LEN as u64 {
@@ -22,8 +26,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME_LEN", bytes.len()),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -66,6 +72,34 @@ mod tests {
             Some("{\"second\":2}")
         );
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+    }
+
+    /// A `Write` that accepts everything and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_large_frame_is_one_write() {
+        let payload = "x".repeat(20 * 1024);
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.writes, 1, "prefix and payload must leave in one write");
+        assert_eq!(w.bytes, 4 + payload.len());
     }
 
     #[test]

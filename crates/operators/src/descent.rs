@@ -10,8 +10,8 @@
 //! * a **baseline** local search the ablation harness can compare the tabu
 //!   searches against.
 
+use crate::feasibility::move_feasible;
 use crate::moves::{Move, OperatorKind};
-use crate::sample::SampleParams;
 use vrptw::solution::EvaluatedSolution;
 use vrptw::{Instance, Objectives, Solution};
 
@@ -62,21 +62,12 @@ fn scalar(weights: &[f64; 3], o: Objectives) -> f64 {
 pub fn descend(inst: &Instance, start: Solution, cfg: &DescentConfig) -> DescentOutcome {
     let mut current = EvaluatedSolution::new(start, inst);
     let mut moves_applied = 0;
-    let params = SampleParams {
-        feasibility: cfg.feasibility_filter,
-    };
     while moves_applied < cfg.max_moves {
         let base = scalar(&cfg.weights, current.objectives());
         let mut best: Option<(Move, f64)> = None;
         for mv in enumerate_moves(&current) {
-            if params.feasibility {
-                let feasible = mv
-                    .arcs_created(&current)
-                    .iter()
-                    .all(|&(u, v)| crate::feasibility::arc_feasible(inst, u, v));
-                if !feasible {
-                    continue;
-                }
+            if cfg.feasibility_filter && !move_feasible(inst, current.solution(), &mv) {
+                continue;
             }
             let patch = mv.expand(&current);
             let preview = current.preview(inst, &patch);

@@ -6,7 +6,8 @@
 //! window violations occur and strong enough that the algorithm could find
 //! back to a solution with all time windows satisfied".
 
-use vrptw::{Instance, SiteId};
+use crate::moves::Move;
+use vrptw::{Instance, SiteId, Solution};
 
 /// Whether the directed arc `u → v` passes the local time-window check:
 /// leaving `u` at its earliest possible completion (`a_u + c_u`) must reach
@@ -14,11 +15,22 @@ use vrptw::{Instance, SiteId};
 ///
 /// With `v` the depot this checks the route can still make it home; with
 /// `u` the depot it checks `v` is reachable from the start of the day.
+/// The test depends on the instance alone, so it reads the bitset the
+/// `Instance` builds on first use ([`Instance::arc_feasible`]).
 #[inline]
 pub fn arc_feasible(inst: &Instance, u: SiteId, v: SiteId) -> bool {
-    let us = inst.site(u);
-    let vs = inst.site(v);
-    us.ready + us.service + inst.dist(u, v) <= vs.due
+    inst.arc_feasible(u, v)
+}
+
+/// The criterion applied to a whole move: every arc `mv` would create in
+/// `snapshot` passes [`arc_feasible`]. Reads the move's closed-form arc
+/// delta ([`Move::arcs`]), so a rejected move costs no expansion and no
+/// allocation.
+#[inline]
+pub(crate) fn move_feasible(inst: &Instance, snapshot: &Solution, mv: &Move) -> bool {
+    mv.arcs(snapshot)
+        .created()
+        .all(|(u, v)| arc_feasible(inst, u, v))
 }
 
 /// The criterion exactly as the paper words it for Relocate: inserting

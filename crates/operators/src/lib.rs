@@ -21,8 +21,9 @@
 //!
 //! Moves are plain data ([`Move`]); [`Move::expand`] turns a move into a
 //! [`RoutePatch`](vrptw::solution::RoutePatch) against the snapshot it was
-//! sampled from, and [`Move::arcs_created`]/[`Move::arcs_removed`] expose
-//! the arc attributes the tabu list is built on.
+//! sampled from, and [`Move::arcs`] gives, in closed form and without
+//! expanding the move, the arc attributes the tabu list is built on and
+//! the arcs the feasibility criterion checks.
 
 pub mod descent;
 mod feasibility;
@@ -31,7 +32,7 @@ mod sample;
 
 pub use descent::{descend, DescentConfig, DescentOutcome};
 pub use feasibility::{arc_feasible, insertion_feasible};
-pub use moves::{Arc, Move, OperatorKind};
+pub use moves::{Arc, ArcDelta, Move, OperatorKind};
 pub use sample::{
     sample_move, sample_move_tallied, sample_of_kind, Candidate, SampleParams, SampleTally,
 };

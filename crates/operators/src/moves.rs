@@ -1,7 +1,7 @@
 //! The move vocabulary: plain-data descriptions of route edits.
 
 use vrptw::solution::{EvaluatedSolution, RoutePatch};
-use vrptw::{SiteId, DEPOT};
+use vrptw::{SiteId, Solution, DEPOT};
 
 /// A directed arc of the giant tour; `0` is the depot. Arcs are the
 /// attributes stored in the tabu list: a move is tabu when it re-creates an
@@ -196,62 +196,139 @@ impl Move {
 
     /// The arcs this move removes from the solution (tabu attributes).
     pub fn arcs_removed(&self, snapshot: &EvaluatedSolution) -> Vec<Arc> {
-        self.arc_delta(snapshot).0
+        self.arcs(snapshot.solution()).removed().collect()
     }
 
     /// The arcs this move creates (checked against the tabu list).
     pub fn arcs_created(&self, snapshot: &EvaluatedSolution) -> Vec<Arc> {
-        self.arc_delta(snapshot).1
+        self.arcs(snapshot.solution()).created().collect()
     }
 
-    /// `(removed, created)` arcs, computed by diffing the arc multisets of
-    /// the touched routes before and after the patch.
+    /// The move's arc delta against `snapshot`, in closed form: the
+    /// multiset difference between the touched routes' arcs before and
+    /// after [`expand`](Self::expand), computed from the splice points
+    /// alone, without expanding the move or allocating.
     ///
-    /// Computing the delta by diffing (rather than per-operator case
-    /// analysis) keeps the attribute definition trivially consistent with
-    /// `expand`, at a cost proportional to the touched routes only.
-    pub fn arc_delta(&self, snapshot: &EvaluatedSolution) -> (Vec<Arc>, Vec<Arc>) {
-        let patch = self.expand(snapshot);
-        let mut before: Vec<Arc> = Vec::new();
-        let mut after: Vec<Arc> = Vec::new();
-        for (idx, new_route) in &patch.replace {
-            collect_arcs(snapshot.route(*idx), &mut before);
-            collect_arcs(new_route, &mut after);
+    /// Every operator cuts and adds at most four boundary arcs; 2-opt
+    /// also reverses its segment's interior arcs, which never cancel
+    /// against anything. An arc both cut and added is in neither result
+    /// (relocating a route's first customer to the front of another route
+    /// cuts and re-adds the same depot arc), and the depot→depot arc of an
+    /// emptied route is dropped (an empty route has no arcs).
+    #[inline]
+    pub fn arcs<'a>(&self, snapshot: &'a Solution) -> ArcDelta<'a> {
+        let route = |i: usize| snapshot.routes()[i].as_slice();
+        // The sites on either side of slot `p` of `r`: `before(r, p)` ends
+        // the arc into position `p`, `at(r, p)` is whatever sits there (the
+        // depot past the end).
+        let before = |r: &[SiteId], p: usize| if p == 0 { DEPOT } else { r[p - 1] };
+        let at = |r: &[SiteId], p: usize| r.get(p).copied().unwrap_or(DEPOT);
+        match *self {
+            Move::Relocate {
+                from: (fr, fp),
+                to: (tr, tp),
+            } => {
+                let (f, t) = (route(fr), route(tr));
+                let c = f[fp];
+                let (a, b) = (before(f, fp), at(f, fp + 1));
+                let (x, y) = (before(t, tp), at(t, tp));
+                ArcDelta::new(&[(a, c), (c, b), (x, y)], &[(a, b), (x, c), (c, y)], &[])
+            }
+            Move::Exchange {
+                a: (ra, pa),
+                b: (rb, pb),
+            } => {
+                let (ra, rb) = (route(ra), route(rb));
+                let (ca, cb) = (ra[pa], rb[pb]);
+                let (a0, a1) = (before(ra, pa), at(ra, pa + 1));
+                let (b0, b1) = (before(rb, pb), at(rb, pb + 1));
+                ArcDelta::new(
+                    &[(a0, ca), (ca, a1), (b0, cb), (cb, b1)],
+                    &[(a0, cb), (cb, a1), (b0, ca), (ca, b1)],
+                    &[],
+                )
+            }
+            Move::TwoOpt { route: r, i, j } => {
+                let r = route(r);
+                let (p, n) = (before(r, i), at(r, j + 1));
+                ArcDelta::new(&[(p, r[i]), (r[j], n)], &[(p, r[j]), (r[i], n)], &r[i..=j])
+            }
+            Move::TwoOptStar { a, cut_a, b, cut_b } => {
+                let (ra, rb) = (route(a), route(b));
+                let (xa, ya) = (before(ra, cut_a), at(ra, cut_a));
+                let (xb, yb) = (before(rb, cut_b), at(rb, cut_b));
+                ArcDelta::new(&[(xa, ya), (xb, yb)], &[(xa, yb), (xb, ya)], &[])
+            }
+            Move::OrOpt { route: r, from, to } => {
+                let r = route(r);
+                let (p, q) = (r[from], r[from + 1]);
+                let (a, b) = (before(r, from), at(r, from + 2));
+                // The pair lands in slot `to` of the route without it; the
+                // arc it splits there is an original arc (`to != from`).
+                let without = |k: usize| if k < from { r[k] } else { r[k + 2] };
+                let x = if to == 0 { DEPOT } else { without(to - 1) };
+                let y = if to + 2 < r.len() { without(to) } else { DEPOT };
+                ArcDelta::new(&[(a, p), (q, b), (x, y)], &[(a, b), (x, p), (q, y)], &[])
+            }
         }
-        for new_route in &patch.append {
-            collect_arcs(new_route, &mut after);
-        }
-        // removed = before \ after, created = after \ before (multiset diff).
-        let removed = multiset_minus(&before, &after);
-        let created = multiset_minus(&after, &before);
-        (removed, created)
     }
 }
 
-/// Appends the depot-to-depot arc sequence of a route to `out`.
-fn collect_arcs(route: &[SiteId], out: &mut Vec<Arc>) {
-    if route.is_empty() {
-        return;
-    }
-    out.push((DEPOT, route[0]));
-    for w in route.windows(2) {
-        out.push((w[0], w[1]));
-    }
-    out.push((route[route.len() - 1], DEPOT));
+/// The arcs a move removes and creates ([`Move::arcs`]), held without
+/// allocation: the (at most four) boundary arcs the splice cuts and the
+/// ones it adds, plus the 2-opt segment whose interior arcs are removed
+/// and created reversed.
+///
+/// Within one move the cut arcs are pairwise distinct, and so are the added
+/// ones (all are arcs of one valid solution), so cancelling the two lists
+/// as multisets is a set difference, done lazily by the iterators.
+#[derive(Debug, Clone, Copy)]
+pub struct ArcDelta<'a> {
+    /// Cut boundary arcs; unused slots hold the depot→depot arc.
+    cut: [Arc; 4],
+    /// Added boundary arcs; unused slots, and the arc of a route the move
+    /// empties, hold the depot→depot arc.
+    added: [Arc; 4],
+    /// The segment `r[i..=j]` a 2-opt reverses (empty for other moves).
+    segment: &'a [SiteId],
 }
 
-/// Multiset difference `a \ b`.
-fn multiset_minus(a: &[Arc], b: &[Arc]) -> Vec<Arc> {
-    let mut remaining: Vec<Arc> = b.to_vec();
-    let mut out = Vec::new();
-    for &arc in a {
-        if let Some(pos) = remaining.iter().position(|&x| x == arc) {
-            remaining.swap_remove(pos);
-        } else {
-            out.push(arc);
+/// The depot→depot arc: slot filler, and what an emptied route's splice
+/// "creates" (an empty route has no arcs).
+const NO_ARC: Arc = (DEPOT, DEPOT);
+
+impl<'a> ArcDelta<'a> {
+    #[inline]
+    fn new(cut: &[Arc], added: &[Arc], segment: &'a [SiteId]) -> Self {
+        let pad = |arcs: &[Arc]| {
+            let mut out = [NO_ARC; 4];
+            out[..arcs.len()].copy_from_slice(arcs);
+            out
+        };
+        ArcDelta {
+            cut: pad(cut),
+            added: pad(added),
+            segment,
         }
     }
-    out
+
+    /// Arcs of the snapshot the move removes.
+    pub fn removed(&self) -> impl Iterator<Item = Arc> + 'a {
+        let added = self.added;
+        self.cut
+            .into_iter()
+            .filter(move |arc| *arc != NO_ARC && !added.contains(arc))
+            .chain(self.segment.windows(2).map(|w| (w[0], w[1])))
+    }
+
+    /// Arcs the move creates.
+    pub fn created(&self) -> impl Iterator<Item = Arc> + 'a {
+        let cut = self.cut;
+        self.added
+            .into_iter()
+            .filter(move |arc| *arc != NO_ARC && !cut.contains(arc))
+            .chain(self.segment.windows(2).map(|w| (w[1], w[0])))
+    }
 }
 
 #[cfg(test)]
@@ -368,13 +445,13 @@ mod tests {
     }
 
     #[test]
-    fn arc_delta_for_relocate() {
+    fn arcs_for_relocate() {
         let (_, ev) = snapshot(vec![vec![1, 2], vec![3, 4]]);
         let mv = Move::Relocate {
             from: (0, 0),
             to: (1, 1),
         };
-        let (removed, created) = mv.arc_delta(&ev);
+        let (removed, created) = (mv.arcs_removed(&ev), mv.arcs_created(&ev));
         // Before: 0-1,1-2,2-0 / 0-3,3-4,4-0  After: 0-2,2-0? no: route0=[2]
         // => 0-2,2-0 ; route1=[3,1,4] => 0-3,3-1,1-4,4-0.
         let rm: std::collections::HashSet<Arc> = removed.into_iter().collect();
@@ -384,14 +461,14 @@ mod tests {
     }
 
     #[test]
-    fn arc_delta_for_two_opt_ignores_unchanged_arcs() {
+    fn arcs_for_two_opt_ignore_unchanged_arcs() {
         let (_, ev) = snapshot(vec![vec![1, 2, 3, 4]]);
         let mv = Move::TwoOpt {
             route: 0,
             i: 1,
             j: 2,
         };
-        let (removed, created) = mv.arc_delta(&ev);
+        let (removed, created) = (mv.arcs_removed(&ev), mv.arcs_created(&ev));
         // 1-2,2-3,3-4 -> 1-3,3-2,2-4.
         let rm: std::collections::HashSet<Arc> = removed.into_iter().collect();
         let cr: std::collections::HashSet<Arc> = created.into_iter().collect();
@@ -409,9 +486,8 @@ mod tests {
             b: 1,
             cut_b: 0,
         };
-        let (removed, created) = mv.arc_delta(&ev);
-        assert!(removed.is_empty());
-        assert!(created.is_empty());
+        assert!(mv.arcs_removed(&ev).is_empty());
+        assert!(mv.arcs_created(&ev).is_empty());
     }
 
     #[test]

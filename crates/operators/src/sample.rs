@@ -8,7 +8,7 @@
 //! retry loop lives with the caller (the neighborhood builder in
 //! `tsmo-core`); this module implements the single attempt.
 
-use crate::feasibility::arc_feasible;
+use crate::feasibility::move_feasible;
 use crate::moves::{Move, OperatorKind};
 use detrand::Rng;
 use vrptw::solution::{EvaluatedSolution, Preview, RoutePatch};
@@ -104,8 +104,8 @@ pub fn sample_move_tallied<R: Rng>(
 ///
 /// A `Some` result is structurally valid, non-identity, and (when
 /// `params.feasibility` is set) passes the local feasibility criterion:
-/// every newly created arc satisfies [`arc_feasible`] and no touched route
-/// exceeds the vehicle capacity.
+/// every newly created arc passes [`arc_feasible`](crate::arc_feasible)
+/// and no touched route exceeds the vehicle capacity.
 pub fn sample_of_kind<R: Rng>(
     rng: &mut R,
     inst: &Instance,
@@ -123,19 +123,16 @@ pub fn sample_of_kind<R: Rng>(
     finish(inst, snapshot, mv, params)
 }
 
-/// Expands and evaluates `mv`, applying the feasibility filter.
+/// Expands and evaluates `mv`, applying the feasibility filter first so
+/// that a rejected draw is never expanded.
 fn finish(
     inst: &Instance,
     snapshot: &EvaluatedSolution,
     mv: Move,
     params: SampleParams,
 ) -> Option<Candidate> {
-    if params.feasibility {
-        for (u, v) in mv.arcs_created(snapshot) {
-            if !arc_feasible(inst, u, v) {
-                return None;
-            }
-        }
+    if params.feasibility && !move_feasible(inst, snapshot.solution(), &mv) {
+        return None;
     }
     let patch = mv.expand(snapshot);
     let preview = snapshot.preview(inst, &patch);

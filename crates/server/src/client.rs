@@ -35,6 +35,8 @@ impl Client {
     }
 
     fn from_stream(stream: TcpStream) -> io::Result<Client> {
+        // Requests are single frames; send them without waiting on Nagle.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             reader,

@@ -513,6 +513,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         handle_http(stream, shared);
         return;
     }
+    // Responses are single frames; send them without waiting on Nagle.
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone().expect("clone TCP stream"));
     let mut writer = BufWriter::new(stream);
     while let Ok(Some(payload)) = wire::read_frame(&mut reader) {

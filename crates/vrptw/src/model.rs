@@ -1,5 +1,7 @@
 //! Instance model: sites, customers, travel-cost matrix, fleet parameters.
 
+use std::sync::OnceLock;
+
 /// Index of a site. `0` is always the depot; customers are `1..=N`.
 pub type SiteId = u16;
 
@@ -37,6 +39,12 @@ pub struct Instance {
     sites: Vec<Customer>,
     /// Flattened `(N+1)×(N+1)` travel-cost matrix, row-major.
     dist: Vec<f64>,
+    /// Packed `(N+1)×(N+1)` bitset, one run of `⌈(N+1)/64⌉` words per row:
+    /// bit `v` of row `u` is set when the arc `u → v` passes the local
+    /// feasibility criterion (see [`Instance::arc_feasible`]). Built on
+    /// first use, so parsing an instance that is never searched costs no
+    /// more than the distance matrix.
+    arc_ok: OnceLock<Vec<u64>>,
     /// Vehicle capacity `m` (homogeneous fleet).
     capacity: f64,
     /// Maximum number of vehicles `R` available at the depot.
@@ -86,6 +94,7 @@ impl Instance {
             name: name.into(),
             sites,
             dist,
+            arc_ok: OnceLock::new(),
             capacity,
             max_vehicles,
         }
@@ -131,6 +140,45 @@ impl Instance {
     #[inline]
     pub fn dist(&self, from: SiteId, to: SiteId) -> f64 {
         self.dist[from as usize * self.sites.len() + to as usize]
+    }
+
+    /// Whether the directed arc `u → v` passes the paper's local
+    /// feasibility criterion (§II.B): `a_u + c_u + t_uv ≤ b_v`, i.e.
+    /// leaving `u` at its earliest possible completion reaches `v` no
+    /// later than `v`'s due date. The criterion depends on the instance
+    /// alone: the first call evaluates it for every site pair (~48 KB of
+    /// bits at 600 customers), and every call reads one bit.
+    #[inline]
+    pub fn arc_feasible(&self, u: SiteId, v: SiteId) -> bool {
+        let n = self.sites.len();
+        let bits = self.arc_ok.get_or_init(|| self.arc_bitset());
+        let (u, v) = (u as usize, v as usize);
+        bits[u * n.div_ceil(64) + v / 64] & (1 << (v % 64)) != 0
+    }
+
+    /// Evaluates the arc criterion for every site pair, row by row.
+    fn arc_bitset(&self) -> Vec<u64> {
+        let n = self.sites.len();
+        let row_words = n.div_ceil(64);
+        let mut bits = vec![0u64; n * row_words];
+        for (u, (row, words)) in self
+            .dist
+            .chunks_exact(n)
+            .zip(bits.chunks_exact_mut(row_words))
+            .enumerate()
+        {
+            let earliest = self.sites[u].ready + self.sites[u].service;
+            for ((word, dists), sites) in words
+                .iter_mut()
+                .zip(row.chunks(64))
+                .zip(self.sites.chunks(64))
+            {
+                for (k, (&d, v)) in dists.iter().zip(sites).enumerate() {
+                    *word |= u64::from(earliest + d <= v.due) << k;
+                }
+            }
+        }
+        bits
     }
 
     /// Iterator over customer ids `1..=N`.
