@@ -39,8 +39,9 @@
 //! `Asynchronous` and each [`HybridTsmo`] searcher). Each is generic over
 //! where a chunk of neighbors runs: inline on the master, on the `deme`
 //! thread pool, or on a `deme::VirtualCluster` with simulated processor
-//! clocks ([`Clock::Virtual`]). The collaborative searchers run
-//! [`CollabSearcher`] on threads, or an event loop on the virtual cluster.
+//! clocks ([`Clock::Virtual`]). The collaborative variant is one loop,
+//! [`CollabSearcher`], stepped on threads or, on the virtual cluster, in
+//! the order of the searchers' virtual clocks.
 //!
 //! The thread runtimes are self-healing: the asynchronous master runs its
 //! workers under a supervisor (`deme::Supervisor`) that resends panicked

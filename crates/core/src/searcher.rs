@@ -1,12 +1,13 @@
 //! One collaborative searcher, step-wise.
 //!
+//! This is the only collaborative search loop.
 //! [`ParallelVariant::Collaborative`](crate::ParallelVariant::Collaborative)
-//! runs this loop on a thread per searcher; a cluster node
-//! (`tsmo-cluster`) runs it against TCP-backed endpoints; a virtual mesh
+//! runs it on a thread per searcher, or on one thread ordered by virtual
+//! clocks under [`Clock::Virtual`](crate::Clock::Virtual); a cluster node
+//! (`tsmo-cluster`) runs it against TCP-backed endpoints; the virtual mesh
 //! steps many of them round-robin on one thread for byte-reproducible
-//! distributed runs. All three drive the identical state machine — the
-//! only degree of freedom is the endpoint's transport and who calls
-//! [`CollabSearcher::step_once`] when.
+//! distributed runs. Every driver decides only the endpoint's transport
+//! and who calls [`CollabSearcher::step_once`] when.
 
 use crate::cancel::CancelToken;
 use crate::config::TsmoConfig;
@@ -35,7 +36,6 @@ pub(crate) fn send_entry(
     let vector = entry.objectives.to_vector();
     match endpoint.send_next(entry) {
         Some(peer) => {
-            recorder.counter_add(names::EXCHANGES_SENT, 1);
             recorder.counter_add(&names::exchanges_sent_to_peer(peer), 1);
             exchange(&**recorder, id, peer, ExchangeDirection::Sent, vector);
         }
@@ -78,10 +78,11 @@ fn publish_peer_events(
 
 /// The parameters searcher `id` runs with: searcher 0 keeps the base
 /// configuration, every other searcher gets the paper's `N(0, param/4)`
-/// disturbance drawn from its own stream. The draw order (communication
-/// list first, then perturbation — see
-/// [`comm_order`](deme::multisearch::comm_order)) is part of the
-/// determinism contract shared by the thread, cluster, and virtual runs.
+/// disturbance drawn from its own stream. Every driver draws in the same
+/// order — communication list first (see
+/// [`comm_order`](deme::multisearch::comm_order)), then perturbation — so
+/// a seed gives the same searchers on threads, on the virtual clock, on
+/// the virtual mesh and on TCP nodes.
 pub fn searcher_cfg(base: &TsmoConfig, id: usize, rng: &mut Xoshiro256StarStar) -> TsmoConfig {
     if id == 0 {
         base.clone()
@@ -152,7 +153,6 @@ pub(crate) fn receive_entries(
     let recorder = Arc::clone(core.recorder());
     recorder.observe(names::RESULT_QUEUE_DEPTH, endpoint.inbox_len() as f64);
     for entry in endpoint.drain() {
-        recorder.counter_add(names::EXCHANGES_RECEIVED, 1);
         let objectives = entry.objectives.to_vector();
         exchange(&*recorder, id, id, ExchangeDirection::Received, objectives);
         core.offer_to_nondom(entry);
@@ -175,7 +175,8 @@ pub struct SearcherResult {
 /// call [`step_once`](Self::step_once) until it returns `false`, then
 /// [`finish`](Self::finish). The endpoint is passed per call rather than
 /// owned, so a driver can hold many searchers and their endpoints in one
-/// place (the virtual mesh) or hand each pair to a thread.
+/// place (the virtual clock, the virtual mesh) or hand each pair to a
+/// thread.
 pub struct CollabSearcher {
     inst: Arc<Instance>,
     cfg: TsmoConfig,

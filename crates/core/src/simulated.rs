@@ -13,24 +13,24 @@
 //! time a real P-processor machine would have needed.
 //!
 //! The barrier and Algorithm-2 drivers take a virtual executor like any
-//! other; the collaborative multisearch keeps its own event loop here,
-//! interleaving the searchers by their virtual clocks. Its messages are
-//! charged `latency · P/2` to model interconnect contention on the
-//! shared-memory machine, which is what makes the collaborative runtime
-//! *grow* with the processor count as in the paper's tables.
+//! other. The collaborative multisearch steps the same [`CollabSearcher`]
+//! the thread and cluster drivers run; this module only decides which
+//! searcher steps next (the earliest virtual clock) and when its messages
+//! arrive. Messages are charged `latency · P/2` to model interconnect
+//! contention on the shared-memory machine, which is what makes the
+//! collaborative runtime *grow* with the processor count as in the
+//! paper's tables.
 
 use crate::config::TsmoConfig;
-use crate::core_search::SearchCore;
-use crate::neighborhood::generate_chunk_tallied;
 use crate::options::RunOptions;
 use crate::outcome::{FrontEntry, TsmoOutcome};
-use crate::searcher::{searcher_cfg, CollabGate};
-use crate::telemetry::{exchange, record_fault};
-use deme::{EvaluationBudget, VirtualCluster};
-use detrand::{streams, Rng as _};
+use crate::searcher::{searcher_cfg, CollabSearcher};
+use crossbeam::channel::{unbounded, Sender};
+use deme::multisearch::{comm_order, Endpoint, Transport};
+use deme::VirtualCluster;
+use detrand::streams;
 use std::sync::Arc;
-use tsmo_faults::MsgFault;
-use tsmo_obs::{metrics::names, ExchangeDirection, FaultKind, Recorder};
+use tsmo_obs::{metrics::names, Recorder};
 use vrptw::Instance;
 
 /// A virtual cluster plus the cost model for the work charged to it.
@@ -100,28 +100,30 @@ impl SimClock {
     }
 }
 
-/// One searcher's state in the event-interleaved simulation.
-struct SearcherSim {
-    core: SearchCore,
-    cfg: TsmoConfig,
-    budget: EvaluationBudget,
-    inbox: Vec<(f64, FrontEntry)>,
-    /// Rotating communication list (peer indices).
-    comm_list: Vec<usize>,
-    next_peer: usize,
-    gate: CollabGate,
-    done: bool,
+/// A link that hands every message to the driver's outbox, tagged with
+/// its receiver; the driver stamps its virtual arrival time.
+struct Outbox {
+    peer: usize,
+    tx: Sender<(usize, FrontEntry)>,
 }
 
-/// Collaborative multisearch with `n` searchers on a virtual cluster.
+impl Transport<FrontEntry> for Outbox {
+    fn send(&self, msg: FrontEntry) -> Result<(), FrontEntry> {
+        self.tx.send((self.peer, msg)).map_err(|e| e.0 .1)
+    }
+}
+
+/// Collaborative multisearch with `n` [`CollabSearcher`]s on a virtual
+/// cluster: the live searcher with the earliest virtual clock steps next.
 ///
-/// Exchange faults are mirrored in virtual time: a dropped improvement
-/// vanishes in flight (the communication-list rotation still advances), a
-/// delayed one arrives `ticks` extra latency units later. With a fixed
+/// Before a searcher steps, every in-flight entry addressed to it that has
+/// arrived by its clock moves into its inbox; the step is charged one unit
+/// per delivered entry plus one per evaluation it is granted. Each message
+/// it sends occupies it for `latency · P/2` and arrives `latency · P/2`
+/// later. Faults, cancellation and the collaboration protocol are the
+/// searcher's own, exactly as on threads. With a fixed
 /// [`TsmoConfig::sim_eval_cost`] the cross-searcher event stream is
-/// byte-reproducible, and an inactive hook leaves it byte-identical to a
-/// run without a hook. The cancel token is checked per searcher before
-/// each of its iterations.
+/// byte-reproducible.
 pub(crate) fn run_collaborative(
     inst: &Arc<Instance>,
     base: &TsmoConfig,
@@ -129,155 +131,90 @@ pub(crate) fn run_collaborative(
     speeds: Option<&[f64]>,
     opts: &RunOptions,
 ) -> TsmoOutcome {
-    let recorder = &opts.recorder;
     let mut sim = SimClock::new(base, n, speeds);
     // Interconnect contention grows with the searcher count (shared
     // memory bus on the modeled Origin 3800): half a latency unit per
     // searcher, so collaborative overhead grows roughly linearly in P
     // as in the paper's tables.
     let congestion = (n as f64 / 2.0).max(1.0);
-    let hook = &opts.faults;
-    let mut exch_seqs: Vec<u64> = vec![0; n];
+    let (out_tx, outbox) = unbounded();
+    let mut inboxes = Vec::with_capacity(n);
+    let mut searchers = Vec::with_capacity(n);
+    for (id, mut rng) in streams(base.seed, n).into_iter().enumerate() {
+        let links = comm_order(n, id, &mut rng)
+            .into_iter()
+            .map(|peer| {
+                let tx = out_tx.clone();
+                (
+                    peer,
+                    Box::new(Outbox { peer, tx }) as Box<dyn Transport<FrontEntry>>,
+                )
+            })
+            .collect();
+        let cfg = searcher_cfg(base, id, &mut rng);
+        let (tx, rx) = unbounded();
+        inboxes.push(tx);
+        let endpoint = Endpoint::from_links(id, rx, links);
+        let chunk = cfg.neighborhood_size as u64;
+        let searcher = CollabSearcher::new(
+            Arc::clone(inst),
+            cfg,
+            rng,
+            Arc::clone(&opts.recorder),
+            id,
+            opts.cancel.clone(),
+            Arc::clone(&opts.faults),
+        );
+        searchers.push((searcher, endpoint, chunk));
+    }
 
-    let mut searchers: Vec<SearcherSim> = streams(base.seed, n)
-        .into_iter()
-        .enumerate()
-        .map(|(id, mut rng)| {
-            // Perturbation before the communication-list shuffle: this
-            // simulation's own draw order, pinned by its event streams.
-            let cfg = searcher_cfg(base, id, &mut rng);
-            let mut comm_list: Vec<usize> = (0..n).filter(|&x| x != id).collect();
-            rng.shuffle(&mut comm_list);
-            SearcherSim {
-                core: SearchCore::with_recorder(
-                    Arc::clone(inst),
-                    cfg.clone(),
-                    rng,
-                    Arc::clone(recorder),
-                    id as u32,
-                ),
-                budget: EvaluationBudget::new(cfg.max_evaluations),
-                inbox: Vec::new(),
-                comm_list,
-                next_peer: 0,
-                gate: CollabGate::new(&cfg),
-                done: false,
-                cfg,
-            }
-        })
-        .collect();
-
-    // Event loop: always advance the live searcher with the earliest
-    // virtual clock by one iteration.
-    while let Some(s) = next_live(&searchers, &sim.cluster) {
-        if opts.cancel.should_stop(searchers[s].core.iteration()) {
-            searchers[s].done = true;
+    let mut in_flight: Vec<(f64, usize, FrontEntry)> = Vec::new();
+    let mut live: Vec<bool> = vec![true; n];
+    while let Some(s) = next_live(&live, &sim.cluster) {
+        let (searcher, endpoint, chunk) = &mut searchers[s];
+        if searcher.done() {
+            live[s] = false;
             continue;
         }
         let now = sim.cluster.clock(s);
-        // Deliver due messages (charged with the congestion factor).
-        let mut due: Vec<FrontEntry> = Vec::new();
-        searchers[s].inbox.retain(|(arrival, entry)| {
-            if *arrival <= now {
-                due.push(entry.clone());
-                false
-            } else {
-                true
-            }
+        let (due, pending): (Vec<_>, Vec<_>) = std::mem::take(&mut in_flight)
+            .into_iter()
+            .partition(|&(arrival, to, _)| to == s && arrival <= now);
+        in_flight = pending;
+        let delivered = due.len();
+        for (_, _, entry) in due {
+            let _ = inboxes[s].send(entry);
+        }
+        let granted = (*chunk).min(base.max_evaluations - searcher.evaluations_consumed());
+        sim.charge(s, delivered + granted as usize, || {
+            searcher.step_once(endpoint)
         });
-        for entry in due {
-            let objectives = entry.objectives.to_vector();
-            exchange(&**recorder, s, s, ExchangeDirection::Received, objectives);
-            let searcher = &mut searchers[s];
-            sim.charge(s, 1, || {
-                searcher.core.offer_to_nondom(entry);
-            });
+        while let Ok((peer, entry)) = outbox.try_recv() {
+            // Sending occupies the sender's processor too.
+            sim.cluster.advance(s, sim.cluster.latency() * congestion);
+            in_flight.push((sim.cluster.send_at(s, congestion), peer, entry));
         }
-        let searcher = &mut searchers[s];
-        let granted = searcher
-            .budget
-            .try_consume(searcher.cfg.neighborhood_size as u64) as usize;
-        if granted == 0 {
-            searcher.done = true;
-            continue;
-        }
-        recorder.counter_add(names::EVALUATIONS, granted as u64);
-        let seed = searcher.core.next_seed();
-        let report = sim.charge(s, granted, || {
-            let chunk = generate_chunk_tallied(
-                inst,
-                searcher.core.current(),
-                seed,
-                granted,
-                searcher.core.sample_params(),
-                searcher.core.iteration(),
-            );
-            searcher.core.note_tally(&chunk.tally);
-            searcher.core.step(chunk.neighbors)
-        });
-        // Collaboration protocol. Skipped improvements precede the fault
-        // draw, so they consume no fault sequence numbers.
-        let Some(entry) = searcher.gate.offer(report.improved_archive) else {
-            continue;
-        };
-        if searcher.comm_list.is_empty() {
-            continue;
-        }
-        let peer = searcher.comm_list[searcher.next_peer];
-        searcher.next_peer = (searcher.next_peer + 1) % searcher.comm_list.len();
-        let fault = if hook.active() {
-            let seq = exch_seqs[s];
-            exch_seqs[s] += 1;
-            (seq, hook.on_exchange(s, seq))
-        } else {
-            (0, MsgFault::Deliver)
-        };
-        let extra_delay = match fault {
-            (seq, MsgFault::Drop) => {
-                // The message vanishes in flight; the rotation has already
-                // moved on, as in the thread-based variant.
-                record_fault(&**recorder, s as u32, seq, FaultKind::ExchangeDrop);
-                continue;
-            }
-            (seq, MsgFault::Delay { ticks }) => {
-                record_fault(&**recorder, s as u32, seq, FaultKind::ExchangeDelay);
-                sim.cluster.latency() * congestion * ticks.max(1) as f64
-            }
-            (_, MsgFault::Deliver) => 0.0,
-        };
-        let objectives = entry.objectives.to_vector();
-        exchange(&**recorder, s, peer, ExchangeDirection::Sent, objectives);
-        // Sending occupies the sender's processor too.
-        sim.cluster.advance(s, sim.cluster.latency() * congestion);
-        let arrival = sim.cluster.send_at(s, congestion) + extra_delay;
-        searchers[peer].inbox.push((arrival, entry));
     }
 
-    let makespan = sim.finish(&**recorder);
+    let makespan = sim.finish(&*opts.recorder);
     TsmoOutcome::merged(
         base.archive_capacity,
         makespan,
-        searchers.into_iter().map(|s| {
-            let evaluations = s.budget.consumed();
-            let (archive, _, iterations) = s.core.finish();
-            (archive, evaluations, iterations)
+        searchers.into_iter().map(|(searcher, mut endpoint, _)| {
+            let r = searcher.finish(&mut endpoint);
+            (r.archive, r.evaluations, r.iterations)
         }),
     )
 }
 
 /// The live searcher with the earliest virtual clock, if any.
-fn next_live(searchers: &[SearcherSim], cluster: &VirtualCluster) -> Option<usize> {
-    searchers
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !s.done)
-        .min_by(|(a, _), (b, _)| {
-            cluster
-                .clock(*a)
-                .partial_cmp(&cluster.clock(*b))
-                .expect("clocks are not NaN")
-        })
-        .map(|(i, _)| i)
+fn next_live(live: &[bool], cluster: &VirtualCluster) -> Option<usize> {
+    (0..live.len()).filter(|&p| live[p]).min_by(|&a, &b| {
+        cluster
+            .clock(a)
+            .partial_cmp(&cluster.clock(b))
+            .expect("clocks are not NaN")
+    })
 }
 
 #[cfg(test)]

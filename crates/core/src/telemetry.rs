@@ -45,8 +45,8 @@ pub(crate) fn exchange(
 ) {
     recorder.counter_add(
         match direction {
-            ExchangeDirection::Sent => names::EXCHANGE_SENT,
-            ExchangeDirection::Received => names::EXCHANGE_RECEIVED,
+            ExchangeDirection::Sent => names::EXCHANGES_SENT,
+            ExchangeDirection::Received => names::EXCHANGES_RECEIVED,
         },
         1,
     );

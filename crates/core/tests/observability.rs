@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use tsmo_core::{Clock, HybridTsmo, ParallelVariant, RunOptions, TsmoConfig, TsmoOutcome};
 use tsmo_obs::metrics::names;
-use tsmo_obs::{parse_events_jsonl, MemoryRecorder, Recorder, SearchEvent};
+use tsmo_obs::{parse_events_jsonl, ExchangeDirection, MemoryRecorder, Recorder, SearchEvent};
 use vrptw::generator::{GeneratorConfig, InstanceClass};
 use vrptw::Instance;
 use vrptw_operators::OperatorKind;
@@ -292,8 +292,8 @@ fn collaborative_sim_records_exchange_traffic() {
         },
     );
     let metrics = recorder.metrics();
-    let sent = metrics.counter(names::EXCHANGE_SENT);
-    let received = metrics.counter(names::EXCHANGE_RECEIVED);
+    let sent = metrics.counter(names::EXCHANGES_SENT);
+    let received = metrics.counter(names::EXCHANGES_RECEIVED);
     assert!(sent > 0, "no archive-improving solution was ever exchanged");
     assert!(received <= sent, "cannot receive more than was sent");
     // Every send and receive became an event tagged with its searcher.
@@ -303,6 +303,45 @@ fn collaborative_sim_records_exchange_traffic() {
         .filter(|e| matches!(e.event, SearchEvent::Exchange { .. }))
         .count() as u64;
     assert_eq!(exchanges, sent + received);
+}
+
+/// Every collaborative path counts its exchanges in one place, so the
+/// sent counter and the sent events agree on the virtual clock too.
+#[test]
+fn virtual_collaborative_sent_counter_matches_sent_events() {
+    let inst = inst();
+    let recorder = MemoryRecorder::shared();
+    let cfg = TsmoConfig {
+        stagnation_limit: 8,
+        ..cfg()
+    };
+    ParallelVariant::Collaborative(3).run_with(
+        &inst,
+        &cfg,
+        &RunOptions {
+            recorder: Arc::clone(&recorder) as Arc<dyn Recorder>,
+            clock: Clock::virtual_uniform(),
+            ..RunOptions::default()
+        },
+    );
+    let sent_events = recorder
+        .events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.event,
+                SearchEvent::Exchange {
+                    direction: ExchangeDirection::Sent,
+                    ..
+                }
+            )
+        })
+        .count() as u64;
+    assert!(sent_events > 0, "no exchange was sent; the test is vacuous");
+    assert_eq!(
+        recorder.metrics().counter(names::EXCHANGES_SENT),
+        sent_events
+    );
 }
 
 #[test]

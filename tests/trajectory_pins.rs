@@ -199,10 +199,10 @@ fn collaborative_three_virtual() {
     assert_eq!(
         pin,
         Pin {
-            iterations: 164,
+            iterations: 137,
             evaluations: 9000,
-            front: 0x7edc855190e4bd38,
-            events: Some(0xf2edc88f8aa35d9c),
+            front: 0xa94c71bb53143d80,
+            events: Some(0xa318c8a370740974),
         }
     );
 }
@@ -243,10 +243,10 @@ fn collaborative_three_virtual_under_exchange_faults() {
     assert_eq!(
         pin,
         Pin {
-            iterations: 164,
+            iterations: 137,
             evaluations: 9000,
-            front: 0x7edc855190e4bd38,
-            events: Some(0x836c3499bef42d31),
+            front: 0xa94c71bb53143d80,
+            events: Some(0x8d7b209298603c30),
         }
     );
 }
