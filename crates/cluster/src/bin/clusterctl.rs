@@ -27,8 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tsmo_cluster::mesh::{self, prometheus_counter};
 use tsmo_cluster::{
-    front_fingerprint, replay_elastic, replay_virtual, run_elastic, run_virtual, ElasticMeshConfig,
-    MeshJob, VirtualMeshConfig,
+    front_fingerprint, replay_elastic, run_elastic, ElasticMeshConfig, MeshJob, NetRecord,
 };
 use tsmo_core::{FrontEntry, TsmoConfig};
 use tsmo_faults::{FaultConfig, FaultHook, FaultPlan};
@@ -461,17 +460,13 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let vm = VirtualMeshConfig {
-            nodes,
-            searchers_per_node: searchers as usize,
-            cfg: TsmoConfig {
-                max_evaluations: evals,
-                neighborhood_size: (neighborhood as usize).max(2),
-                stagnation_limit: (stagnation as usize).max(1),
-                ..TsmoConfig::default()
-            }
-            .with_seed(seed),
-        };
+        let cfg = TsmoConfig {
+            max_evaluations: evals,
+            neighborhood_size: (neighborhood as usize).max(2),
+            stagnation_limit: (stagnation as usize).max(1),
+            ..TsmoConfig::default()
+        }
+        .with_seed(seed);
         let hook: Arc<dyn FaultHook> = if fault_rate > 0.0 {
             FaultPlan::shared(FaultConfig::exchange_only(fault_seed, fault_rate))
         } else {
@@ -489,76 +484,40 @@ fn main() -> ExitCode {
             Ok(n) => n,
             Err(code) => return code,
         };
-        // Churn or replication turns the run elastic: dynamic membership,
-        // ring-replicated checkpoints, and a recorded network log whose
-        // replay must still be byte-identical.
-        if !churn.is_empty() || replication_every > 0 {
-            let em = ElasticMeshConfig {
-                replication_every,
-                churn,
-                ..ElasticMeshConfig::fixed(vm.nodes, vm.searchers_per_node, vm.cfg.clone())
-            };
-            let events = Arc::new(MemoryRecorder::new());
-            let recorded = run_elastic(
-                &instance,
-                &em,
-                Arc::clone(&events) as Arc<dyn Recorder>,
-                Arc::clone(&hook),
-            );
-            println!(
-                "elastic virtual mesh: {nodes} nodes x {searchers} searchers, \
-                 {} net records, {} evaluations, final epoch {}",
-                recorded.log.len(),
-                recorded.evaluations,
-                recorded.final_epoch
-            );
-            if !recorded.recovered_nodes.is_empty() {
-                println!(
-                    "recovered from replicas: node(s) {:?}, {} entr(ies) in the merged front",
-                    recorded.recovered_nodes, recorded.recovered_in_front
-                );
-            }
-            let replayed =
-                match replay_elastic(&instance, &em, tsmo_obs::noop(), hook, &recorded.log) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        eprintln!("clusterctl: elastic replay diverged: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            if front_fingerprint(&replayed.front) != front_fingerprint(&recorded.front) {
-                eprintln!("clusterctl: replayed front differs from the recorded run");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "replay: byte-identical merged front over {} net records",
-                replayed.log.len()
-            );
-            if let Some(path) = get("--events-out") {
-                if let Err(e) = std::fs::write(&path, events.events_jsonl()) {
-                    eprintln!("clusterctl: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("events: wrote {path}");
-            }
-            if has("--require-recovered") && recorded.recovered_nodes.is_empty() {
-                eprintln!("clusterctl: --require-recovered but no node front came from a replica");
-                return ExitCode::FAILURE;
-            }
-            if !check_front(&recorded.front) {
-                return ExitCode::FAILURE;
-            }
-            print_front(&recorded.front);
-            return ExitCode::SUCCESS;
-        }
-        let recorded = run_virtual(&instance, &vm, tsmo_obs::noop(), Arc::clone(&hook));
+        // Without churn or replication this is a fixed mesh; either way
+        // the recorded network log must replay byte-identically.
+        let em = ElasticMeshConfig {
+            replication_every,
+            churn,
+            ..ElasticMeshConfig::fixed(nodes, searchers as usize, cfg)
+        };
+        let events = Arc::new(MemoryRecorder::new());
+        let recorded = run_elastic(
+            &instance,
+            &em,
+            Arc::clone(&events) as Arc<dyn Recorder>,
+            Arc::clone(&hook),
+        );
+        let exchanges = |log: &[NetRecord]| {
+            log.iter()
+                .filter(|r| matches!(r, NetRecord::Exchange(_)))
+                .count()
+        };
         println!(
             "virtual mesh: {nodes} nodes x {searchers} searchers, {} exchanges delivered, \
-             {} evaluations",
+             {} net records, {} evaluations, final epoch {}",
+            exchanges(&recorded.log),
             recorded.log.len(),
-            recorded.evaluations
+            recorded.evaluations,
+            recorded.final_epoch
         );
-        let replayed = match replay_virtual(&instance, &vm, tsmo_obs::noop(), hook, &recorded.log) {
+        if !recorded.recovered_nodes.is_empty() {
+            println!(
+                "recovered from replicas: node(s) {:?}, {} entr(ies) in the merged front",
+                recorded.recovered_nodes, recorded.recovered_in_front
+            );
+        }
+        let replayed = match replay_elastic(&instance, &em, tsmo_obs::noop(), hook, &recorded.log) {
             Ok(out) => out,
             Err(e) => {
                 eprintln!("clusterctl: replay diverged: {e}");
@@ -570,9 +529,21 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!(
-            "replay: byte-identical merged front over {} exchanges",
+            "replay: byte-identical merged front over {} exchanges ({} net records)",
+            exchanges(&replayed.log),
             replayed.log.len()
         );
+        if let Some(path) = get("--events-out") {
+            if let Err(e) = std::fs::write(&path, events.events_jsonl()) {
+                eprintln!("clusterctl: cannot write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            println!("events: wrote {path}");
+        }
+        if has("--require-recovered") && recorded.recovered_nodes.is_empty() {
+            eprintln!("clusterctl: --require-recovered but no node front came from a replica");
+            return ExitCode::FAILURE;
+        }
         if !check_front(&recorded.front) {
             return ExitCode::FAILURE;
         }

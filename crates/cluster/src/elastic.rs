@@ -1,16 +1,24 @@
-//! The elastic virtual mesh: dynamic membership, searcher rebalancing,
+//! The virtual mesh (`clusterctl --virtual-net`): a whole mesh in one
+//! process, one thread, with dynamic membership, searcher rebalancing,
 //! and replicated archive checkpoints — deterministic and replayable.
 //!
-//! [`virtual_net`](crate::virtual_net) pins a *fixed* mesh to one thread;
-//! this module adds churn. Nodes can be killed mid-run (their searcher
+//! Real distributed runs interleave exchanges by wall clock, so two runs
+//! of the same seed differ. Here all `nodes × searchers_per_node`
+//! searchers step round-robin on one thread over in-process channels,
+//! with the same streams, communication lists, perturbations and
+//! two-stage front merge (per-node archives first, then the global
+//! archive) as the TCP mesh. [`ElasticMeshConfig::fixed`] is a mesh
+//! whose membership never changes.
+//!
+//! Churn is scheduled on top: nodes can be killed mid-run (their searcher
 //! incarnations die with their un-flushed archives), rejoin later, or
 //! start dead and join late. Whenever the member set changes, a
 //! deterministic rebalancer reassigns contiguous searcher-id slices over
 //! the live slots: a searcher id that changes owner is finished gracefully
 //! (its archive banked, its consumed budget recorded) and restarted on the
 //! new owner with the *remaining* budget, its RNG stream, communication
-//! list, and parameter perturbation re-derived from scratch — so at fixed
-//! membership every id's trajectory is byte-identical to the static mesh.
+//! list, and parameter perturbation re-derived from scratch — so an id
+//! that never moves keeps the trajectory it has at fixed membership.
 //!
 //! Durability comes from archive replication: every `replication_every`
 //! rounds (and once when a node's searchers finish) each live node cuts a
@@ -29,12 +37,12 @@
 
 use crate::membership::{assign_slices, owner_of, ChurnEvent, ChurnKind, Membership};
 use crate::mesh::merge_node_fronts;
-use crate::virtual_net::{front_fingerprint, ExchangeRecord};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use deme::multisearch::{comm_order, Endpoint, Transport};
 use detrand::streams;
 use pareto::Archive;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use tsmo_core::{searcher_cfg, CancelToken, CollabSearcher, FrontEntry, TsmoConfig};
@@ -66,8 +74,8 @@ pub struct ElasticMeshConfig {
 }
 
 impl ElasticMeshConfig {
-    /// A churn-free, replication-free configuration equivalent to
-    /// [`VirtualMeshConfig`](crate::VirtualMeshConfig).
+    /// A churn-free, replication-free mesh of `nodes` nodes hosting
+    /// `searchers_per_node` searchers each.
     pub fn fixed(nodes: usize, searchers_per_node: usize, cfg: TsmoConfig) -> Self {
         Self {
             nodes,
@@ -87,6 +95,17 @@ impl ElasticMeshConfig {
             self.elite_count
         }
     }
+}
+
+/// One delivered exchange, as recorded by the virtual network.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExchangeRecord {
+    /// Sending searcher's global id.
+    pub from: usize,
+    /// Receiving searcher's global id.
+    pub to: usize,
+    /// The delivered solution's objective vector.
+    pub objectives: [f64; 3],
 }
 
 /// One entry of the elastic run's ordered network log. Replay verifies
@@ -264,6 +283,27 @@ struct Hosted {
     endpoint: Endpoint<FrontEntry>,
 }
 
+/// Canonical byte serialization of a front, for identity comparisons: one
+/// line per entry, objectives then routes, in archive order.
+pub fn front_fingerprint(front: &[FrontEntry]) -> String {
+    let mut out = String::new();
+    for entry in front {
+        let [d, v, t] = entry.objectives.to_vector();
+        let _ = write!(out, "[{d},{v},{t}]");
+        for route in entry.solution.routes() {
+            out.push('|');
+            for (i, site) in route.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{site}");
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
 /// FNV-1a 64 of a front's canonical fingerprint — a compact byte-identity
 /// witness for checkpoint records.
 fn fp_hash(front: &[FrontEntry]) -> u64 {
@@ -391,8 +431,8 @@ impl Run<'_> {
 
     /// Builds a fresh incarnation of searcher `id` with `remaining`
     /// evaluations, re-deriving its RNG stream, communication list, and
-    /// perturbation from scratch — the same draws the static mesh made, so
-    /// determinism survives the restart.
+    /// perturbation from scratch — the same draws its first incarnation
+    /// made, so determinism survives the restart.
     fn spawn_incarnation(&mut self, id: usize, remaining: u64) {
         let mut rngs = streams(self.em.cfg.seed, self.n_total);
         let rng = &mut rngs[id];
@@ -749,7 +789,7 @@ fn run(
             r.deliver_checkpoint(subject, holder, round, rep);
         }
         // One synchronous round: every hosted searcher steps once, in
-        // global id order — the same schedule as the static virtual mesh.
+        // global id order, which pins the delivery order of every exchange.
         let mut any = false;
         for id in 0..n_total {
             if let Some(h) = r.hosted[id].as_mut() {
