@@ -74,11 +74,6 @@ pub struct TsmoConfig {
     /// the searcher-local evaluated-neighbor count, so timelines are as
     /// deterministic as the rest of the event stream.
     pub timeline_every: Option<u64>,
-    /// Upper bound on retained trace points (`None` = unbounded). The trace
-    /// grows by `neighborhood_size` points per iteration, so long runs
-    /// should cap it; the most recent points win and the drop count is
-    /// reported by [`Trace::dropped`](crate::Trace::dropped).
-    pub trace_capacity: Option<usize>,
     /// Asynchronous variant: upper bound, in milliseconds, on how long the
     /// master waits for workers after finishing its own chunk — condition
     /// `c3` ("AreWeWaitingTooLong") of Algorithm 2.
@@ -124,7 +119,6 @@ impl Default for TsmoConfig {
             trace: false,
             trace_id: None,
             timeline_every: None,
-            trace_capacity: None,
             async_max_wait_ms: 20,
             sim_comm_latency: 0.001,
             sim_eval_cost: None,

@@ -141,7 +141,7 @@ impl SearchCore {
             archive.insert(FrontEntry::new(s.clone(), o));
             nondom.insert(FrontEntry::new(s.clone(), o));
         }
-        let trace = cfg.trace.then(|| Trace::bounded(cfg.trace_capacity));
+        let trace = cfg.trace.then(Trace::default);
         let timeline_ref = [
             current.objectives().distance * 1.1 + 1.0,
             (current.objectives().vehicles + 2) as f64,
@@ -516,10 +516,6 @@ impl SearchCore {
     pub fn finish(self) -> (Vec<FrontEntry>, Option<Trace>, usize) {
         self.recorder
             .gauge_max(names::ARCHIVE_SIZE, self.archive.len() as f64);
-        if let Some(t) = &self.trace {
-            self.recorder
-                .counter_add(names::TRACE_DROPPED, t.dropped() as u64);
-        }
         for op in OperatorKind::ALL {
             let i = op.index();
             let label = op.label();
